@@ -10,6 +10,8 @@ model.
 from __future__ import annotations
 
 import dataclasses
+import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -435,51 +437,74 @@ def _read_exact(fh, n, what):
     return raw
 
 
+def _read_header(fh):
+    """Check magic and version; returns (config, epoch, record count)."""
+    if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
+        raise CheckpointError("not a checkpoint: bad magic")
+    version = struct.unpack("<I", _read_exact(fh, 4, "version"))[0]
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+    clen = struct.unpack("<I", _read_exact(fh, 4, "config length"))[0]
+    cfg = config_from_text(_read_exact(fh, clen, "config").decode("utf-8"))
+    epoch = struct.unpack("<Q", _read_exact(fh, 8, "epoch"))[0]
+    count = struct.unpack("<I", _read_exact(fh, 4, "record count"))[0]
+    return cfg, epoch, count
+
+
+def _read_records(fh, count, read) -> None:
+    """Call ``read(name, dims)`` with the stream at each record's tensor data.
+
+    Malformed tensor records surface as CheckpointError naming the record.
+    """
+    for _ in range(count):
+        nlen = struct.unpack("<I", _read_exact(fh, 4, "name length"))[0]
+        name = _read_exact(fh, nlen, "name").decode("utf-8")
+        try:
+            read(name, T.read_tensor_header(fh))
+        except DataError as exc:
+            raise CheckpointError(f"bad tensor record {name!r}: {exc}") from exc
+
+
 def read_checkpoint(path):
     """Parse a checkpoint; returns (config, epoch, ordered dict name -> array)."""
+    records = {}
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
-            raise CheckpointError("not a checkpoint: bad magic")
-        version = struct.unpack("<I", _read_exact(fh, 4, "version"))[0]
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-        clen = struct.unpack("<I", _read_exact(fh, 4, "config length"))[0]
-        cfg = config_from_text(_read_exact(fh, clen, "config").decode("utf-8"))
-        epoch = struct.unpack("<Q", _read_exact(fh, 8, "epoch"))[0]
-        count = struct.unpack("<I", _read_exact(fh, 4, "record count"))[0]
-        records = {}
-        for _ in range(count):
-            nlen = struct.unpack("<I", _read_exact(fh, 4, "name length"))[0]
-            name = _read_exact(fh, nlen, "name").decode("utf-8")
-            try:
-                records[name] = T.read_tensor(fh).data
-            except DataError as exc:
-                raise CheckpointError(f"bad tensor record {name!r}: {exc}") from exc
+        cfg, epoch, count = _read_header(fh)
+
+        def keep(name, dims):
+            records[name] = np.empty(dims)
+            T.read_tensor_into(fh, records[name])
+
+        _read_records(fh, count, keep)
     return cfg, epoch, records
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild the model a checkpoint describes; strict about names and shapes."""
-    cfg, _, records = read_checkpoint(path)
-    model = Model.build(cfg)
-    expected = dict(model.parameters())
-    state = dict(model.state_arrays())
-    for name, target in list(expected.items()) + [(n, None) for n in state]:
-        if name not in records:
-            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
-    for name, arr in records.items():
-        if name.startswith("adam."):
-            continue
-        if name in expected:
-            if expected[name].shape != arr.shape:
+    """Rebuild the model a checkpoint describes; strict about names and shapes.
+
+    Each record is read straight into the built model's parameter or state array.
+    """
+    loaded = set()
+    with open(path, "rb") as fh:
+        cfg, _, count = _read_header(fh)
+        model = Model.build(cfg)
+        targets = {n: p.data for n, p in model.parameters()} | dict(model.state_arrays())
+
+        def load(name, dims):
+            if name.startswith("adam."):
+                fh.seek(8 * math.prod(dims), io.SEEK_CUR)
+                return
+            if name not in targets:
+                raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
+            if dims != targets[name].shape:
                 raise CheckpointError(
-                    f"shape mismatch for {name!r}: checkpoint {arr.shape}, config implies {expected[name].shape}"
+                    f"shape mismatch for {name!r}: checkpoint {dims}, config implies {targets[name].shape}"
                 )
-            expected[name].data = arr.copy()
-        elif name in state:
-            if state[name].shape != arr.shape:
-                raise CheckpointError(f"shape mismatch for {name!r}")
-            state[name][...] = arr
-        else:
-            raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
+            T.read_tensor_into(fh, targets[name])
+            loaded.add(name)
+
+        _read_records(fh, count, load)
+    for name in targets:
+        if name not in loaded:
+            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
     return model

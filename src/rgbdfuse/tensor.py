@@ -15,7 +15,10 @@ graph node instead of one graph per sample.
 from __future__ import annotations
 
 import contextlib
+import io
+import math
 import struct
+import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -78,10 +81,15 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         return self.grad
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into ``.grad``. The first write copies ``g``, which may be another
+        tensor's grad or a read-only broadcast view, unless ``owned`` says the caller
+        made ``g`` afresh and holds no other reference to it."""
         if self.requires_grad or self._backward is not None:
-            self._grad_buffer()
-            self.grad += g
+            if self.grad is None:
+                self.grad = g if owned else np.array(g, dtype=np.float64, order="C")
+            else:
+                self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -236,7 +244,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def bwd(g):
-        x._accum(g * mask)
+        x._accum(g * mask, owned=True)
 
     return _node(np.where(mask, x.data, 0.0), (x,), bwd)
 
@@ -353,8 +361,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects [n x k] by [k x m], got {a.shape} by {b.shape}")
 
     def bwd(g):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
+        a._accum(g @ b.data.T, owned=True)
+        b._accum(a.data.T @ g, owned=True)
 
     return _node(a.data @ b.data, (a, b), bwd)
 
@@ -408,22 +416,21 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same", stri
 
     def bwd(g):
         g4 = g if batched else g[None]
+        g2 = g4.reshape(-1, cout)
         if kernels.requires_grad or kernels._backward is not None:
-            kernels._accum(np.tensordot(cols, g4, axes=([0, 1, 2], [0, 1, 2])))
+            kernels._accum((cols.reshape(-1, kh * kw * cin).T @ g2).reshape(kernels.shape), owned=True)
         if bias.requires_grad or bias._backward is not None:
             bias._accum(g4.sum(axis=(0, 1, 2)))
         if x.requires_grad or x._backward is not None:
-            gup = np.zeros((b, (hout - 1) * stride + 1, (wout - 1) * stride + 1, cout))
-            gup[:, ::stride, ::stride] = g4
-            gpad = np.pad(gup, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
-            kflip = kernels.data[::-1, ::-1].transpose(0, 1, 3, 2)  # [kh,kw,Cout,Cin]
-            winb = sliding_window_view(gpad, (kh, kw), axis=(1, 2))
-            colsb = winb.transpose(0, 1, 2, 4, 5, 3)
-            gxp = np.tensordot(colsb, kflip, axes=([3, 4, 5], [0, 1, 2]))
+            # col2im one kernel tap at a time: tap (di, dj) of g @ W^T lands shifted in the padded buffer
             full = np.zeros((b, hp, wp, cin))
-            full[:, : gxp.shape[1], : gxp.shape[2]] = gxp
+            hspan, wspan = (hout - 1) * stride + 1, (wout - 1) * stride + 1
+            for di in range(kh):
+                for dj in range(kw):
+                    tap = g2 @ kernels.data[di, dj].T
+                    full[:, di : di + hspan : stride, dj : dj + wspan : stride] += tap.reshape(b, hout, wout, cin)
             gx = full[:, pt : pt + h, pl : pl + w]
-            x._accum(gx if batched else gx[0])
+            x._accum(gx if batched else gx[0], owned=True)
 
     return _node(out if batched else out[0], (x, kernels, bias), bwd)
 
@@ -502,28 +509,33 @@ def channel_pool(f: Tensor, mode: str) -> Tensor:
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """Non-overlapping 2x2 spatial max over [.. x H x W x C]; H and W must be even."""
+    """Non-overlapping 2x2 spatial max over [.. x H x W x C]; H and W must be even.
+
+    The gradient of each window goes to its first maximum in row-major
+    (di, dj) order, so the backward pass is deterministic under ties.
+    """
     if x.ndim not in (3, 4):
         raise ShapeError(f"maxpool expects rank 3 or 4, got {x.shape}")
     h, w, c = x.shape[-3:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-    batched = x.ndim == 4
-    x4 = x.data if batched else x.data[None]
-    b = x4.shape[0]
-    # windows flattened in row-major (di, dj) order so argmax picks the first maximum
-    win = x4.reshape(b, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(b, h // 2, w // 2, c, 4)
-    idx = win.argmax(axis=-1)[..., None]
-    out = np.take_along_axis(win, idx, axis=-1)[..., 0]
+    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
+    taps = [x.data[..., di::2, dj::2, :] for di, dj in offsets]
+    out = np.maximum(taps[0], taps[1])
+    np.maximum(out, taps[2], out=out)
+    np.maximum(out, taps[3], out=out)
 
     def bwd(g):
-        g4 = g if batched else g[None]
-        buf = np.zeros_like(win)
-        np.put_along_axis(buf, idx, g4[..., None], axis=-1)
-        gx = buf.reshape(b, h // 2, w // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(b, h, w, c)
-        x._accum(gx if batched else gx[0])
+        gx = np.empty_like(x.data)
+        free = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet taken
+        for (di, dj), tap in zip(offsets, taps):
+            hit = np.equal(tap, out)
+            hit &= free
+            free ^= hit
+            np.multiply(g, hit, out=gx[..., di::2, dj::2, :])
+        x._accum(gx, owned=True)
 
-    return _node(out if batched else out[0], (x,), bwd)
+    return _node(out, (x,), bwd)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -640,22 +652,37 @@ def write_tensor(stream, t: Tensor) -> None:
     stream.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
-def read_tensor(stream) -> Tensor:
+def read_tensor_header(stream) -> tuple[int, ...]:
+    """Read a record's magic and dims; its data must fit in what is left of the stream."""
     head = stream.read(5)
     if len(head) < 5 or head[:4] != _MAGIC:
         raise DataError("not a tensor record: bad magic")
-    rank = head[4]
     dims = []
-    for _ in range(rank):
+    for _ in range(head[4]):
         raw = stream.read(8)
         if len(raw) < 8:
             raise DataError("truncated tensor record: missing dims")
         dims.append(struct.unpack("<Q", raw)[0])
-    count = int(np.prod(dims)) if dims else 1
-    raw = stream.read(8 * count)
-    if len(raw) < 8 * count:
+    pos = stream.tell()
+    need, left = 8 * math.prod(dims), stream.seek(0, io.SEEK_END) - pos
+    stream.seek(pos)
+    if need > left:
+        raise DataError(f"truncated tensor record: dims {dims} need {need} bytes, {left} bytes left")
+    return tuple(dims)
+
+
+def read_tensor_into(stream, out: np.ndarray) -> None:
+    """Read a record's data straight into ``out``, a C-contiguous float64 array of the header's shape."""
+    if stream.readinto(memoryview(out).cast("B")) != out.nbytes:
         raise DataError("truncated tensor record: missing data")
-    return Tensor(np.frombuffer(raw, dtype="<f8").reshape(dims))
+    if sys.byteorder == "big":
+        out.byteswap(inplace=True)
+
+
+def read_tensor(stream) -> Tensor:
+    out = np.empty(read_tensor_header(stream))
+    read_tensor_into(stream, out)
+    return Tensor(out)
 
 
 def save_tensor(path, t: Tensor) -> None:

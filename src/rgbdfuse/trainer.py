@@ -49,6 +49,10 @@ ABLATION_COLUMNS = (
 class Adam:
     """Adam with bias correction; learning rate decays per completed epoch."""
 
+    # Elements per block of the update, so its two scratch buffers stay in L2 cache
+    # (on the desk head 2^15 measured fastest, 2^14 and 2^16 within 8%, 2^13 and 2^17 slower).
+    BLOCK = 1 << 15
+
     def __init__(self, params, lr, decay=1.0, beta1=0.9, beta2=0.999, eps=1e-8, decay_per_step=False):
         self.params = list(params)  # (name, Tensor)
         self.lr = lr
@@ -59,8 +63,8 @@ class Adam:
         self.decay_per_step = decay_per_step
         self.t = 0
         self.epoch = 0  # completed epochs, set by the training loop
-        self.first_moments = {n: np.zeros_like(p.data) for n, p in self.params}
-        self.second_moments = {n: np.zeros_like(p.data) for n, p in self.params}
+        self.first_moments = {n: np.zeros(p.shape) for n, p in self.params}
+        self.second_moments = {n: np.zeros(p.shape) for n, p in self.params}
 
     def effective_lr(self) -> float:
         exponent = self.t if self.decay_per_step else self.epoch
@@ -71,21 +75,42 @@ class Adam:
             p.zero_grad()
 
     def step(self) -> None:
+        """One update; a non-finite gradient raises TrainingError before anything changes."""
+        for name, p in self.params:
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise TrainingError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         lr = self.effective_lr()
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        scratch = np.empty((2, self.BLOCK))
         for name, p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {name!r}")
-            m = self.first_moments[name]
-            v = self.second_moments[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not p.data.flags.c_contiguous:
+                p.data = np.ascontiguousarray(p.data)
+            g = p.grad.reshape(-1) if p.grad is not None else np.zeros(p.size)
+            m = self.first_moments[name].reshape(-1)
+            v = self.second_moments[name].reshape(-1)
+            w = p.data.reshape(-1)
+            for lo in range(0, w.size, self.BLOCK):
+                hi = min(lo + self.BLOCK, w.size)
+                gb, mb, vb, wb = g[lo:hi], m[lo:hi], v[lo:hi], w[lo:hi]
+                s1, s2 = scratch[0, : hi - lo], scratch[1, : hi - lo]
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+                mb *= b1
+                np.multiply(gb, 1.0 - b1, out=s1)
+                mb += s1
+                vb *= b2
+                np.multiply(gb, 1.0 - b2, out=s1)
+                s1 *= gb
+                vb += s1
+                # w -= lr (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(mb, c1, out=s1)
+                s1 *= lr
+                np.divide(vb, c2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += eps
+                s1 /= s2
+                wb -= s1
 
 
 def adam_step(state: Adam) -> None:
@@ -104,7 +129,8 @@ def evaluate(model: Model, records, batch_size: int | None = None):
     n = model.cfg.classes
     confusion = np.zeros((n, n), dtype=np.int64)
     for batch in make_batches(records, batch_size, seed=0):
-        logits = model.forward(batch.rgb, batch.depth, "eval")
+        with T.no_grad():
+            logits = model.forward(batch.rgb, batch.depth, "eval")
         preds = logits.data.argmax(axis=1)
         for truth, pred in zip(batch.labels, preds):
             confusion[truth, pred] += 1

@@ -283,6 +283,22 @@ def test_checkpoint_shape_mismatch_names_entry(tmp_path):
         M.load_checkpoint(path)
 
 
+def test_checkpoint_overflowing_tensor_header_is_checkpoint_error(tmp_path):
+    cfg = tiny_cfg()
+    model = M.build_model(cfg)
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(model, path)
+    raw = bytearray(path.read_bytes())
+    first = raw.index(b"FTNS")
+    assert raw[first + 4] == 4  # the first record is a conv kernel; its first two dims become 2^32
+    raw[first + 5 : first + 21] = (2**32).to_bytes(8, "little") * 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="bytes"):
+        M.read_checkpoint(path)
+    with pytest.raises(CheckpointError, match="bytes"):
+        M.load_checkpoint(path)
+
+
 def test_checkpoint_size_arithmetic(tmp_path):
     cfg = tiny_cfg()
     model = M.build_model(cfg)

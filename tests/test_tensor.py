@@ -465,6 +465,82 @@ def test_maxpool2x2_values_and_grad():
     assert x.grad.reshape(-1).tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
+def _first_max_pool_grad(x, g):
+    """Reference maxpool backward: each window's gradient goes to its first maximum in (di, dj) order."""
+    gx = np.zeros_like(x)
+    for idx in np.ndindex(g.shape):
+        *lead, i, j, c = idx
+        window = [x[(*lead, 2 * i + di, 2 * j + dj, c)] for di in (0, 1) for dj in (0, 1)]
+        di, dj = divmod(window.index(max(window)), 2)
+        gx[(*lead, 2 * i + di, 2 * j + dj, c)] = g[idx]
+    return gx
+
+
+def test_maxpool2x2_tie_routes_to_first_in_row_major_order():
+    # one window per tie pattern; the expected gradient position is marked in each comment
+    windows = [
+        [[2.0, 2.0], [2.0, 2.0]],  # (0, 0)
+        [[1.0, 3.0], [3.0, 3.0]],  # (0, 1)
+        [[0.0, 0.0], [1.0, 1.0]],  # (1, 0)
+        [[-1.0, -1.0], [-1.0, 0.0]],  # (1, 1)
+    ]
+    expect = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    x = np.zeros((2, 8, 1))
+    want = np.zeros_like(x)
+    for k, (w, (di, dj)) in enumerate(zip(windows, expect)):
+        x[:, 2 * k : 2 * k + 2, 0] = w
+        want[di, 2 * k + dj, 0] = 1.0
+    p = T.parameter(x, "x")
+    T.backward(T.tsum(T.maxpool2x2(p)), [p])
+    assert np.array_equal(p.grad, want)
+
+    rng = np.random.default_rng(30)
+    for shape in [(4, 6, 3), (3, 4, 6, 2)]:
+        x = rng.integers(0, 2, size=shape).astype(float)  # ties in most windows
+        p = T.parameter(x, "x")
+        out = T.maxpool2x2(p)
+        g = rng.standard_normal(out.shape)
+        T.backward(T.tsum(out * T.Tensor(g)), [p])
+        assert np.array_equal(p.grad, _first_max_pool_grad(x, g))
+
+
+def test_maxpool2x2_commutes_with_relu_in_value_and_gradient():
+    rng = np.random.default_rng(31)
+    for shape in [(4, 4, 2), (2, 4, 6, 3)]:
+        x = rng.integers(-2, 3, size=shape).astype(float)  # zero and negative ties
+        g = rng.standard_normal(shape[:-3] + (shape[-3] // 2, shape[-2] // 2, shape[-1]))
+        results = []
+        for order in ("pool_relu", "relu_pool"):
+            p = T.parameter(x.copy(), "x")
+            out = T.relu(T.maxpool2x2(p)) if order == "pool_relu" else T.maxpool2x2(T.relu(p))
+            T.backward(T.tsum(out * T.Tensor(g)), [p])
+            results.append((out.data, p.grad))
+        assert np.array_equal(results[0][0], results[1][0])
+        assert np.array_equal(results[0][1], results[1][1])
+
+
+def test_gradients_never_alias_after_backward():
+    rng = np.random.default_rng(32)
+    x = T.parameter(rng.standard_normal((2, 3)), "x")
+    y = T.parameter(rng.standard_normal((2, 3)), "y")
+    s = T.add(x, y)
+    r = T.reshape(s, (6,))
+    loss = T.tsum(r) + T.tsum(T.add(x, x))  # tsum hands back a read-only broadcast_to view
+    T.backward(loss, [x, y])
+    grads = {"x": x.grad, "y": y.grad, "s": s.grad, "r": r.grad}
+    for name, grad in grads.items():
+        assert grad.flags.writeable, name
+    names = list(grads)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            assert not np.shares_memory(grads[a], grads[b]), (a, b)
+    assert np.array_equal(x.grad, np.full((2, 3), 3.0))
+    x.grad[...] = 7.0
+    assert np.array_equal(y.grad, np.ones((2, 3)))
+    assert np.array_equal(s.grad, np.ones((2, 3)))
+    assert np.array_equal(r.grad, np.ones(6))
+
+
 def test_all_finite_after_public_ops():
     rng = np.random.default_rng(26)
     x = T.Tensor(rng.standard_normal((4, 4, 3)) * 100)
@@ -508,3 +584,19 @@ def test_tensor_deserialization_truncated():
     buf = io.BytesIO(b"FTNS\x02" + b"\x03")
     with pytest.raises(DataError):
         T.read_tensor(buf)
+
+
+def test_tensor_header_overflowing_dims_is_data_error():
+    # dims (2^32, 2^32) overflow an int64 element count to 0
+    buf = io.BytesIO(b"FTNS\x02" + (2**32).to_bytes(8, "little") * 2 + b"\x00" * 16)
+    with pytest.raises(DataError, match="bytes"):
+        T.read_tensor(buf)
+
+
+def test_tensor_header_larger_than_stream_is_data_error():
+    buf = io.BytesIO()
+    T.write_tensor(buf, T.Tensor(np.arange(3.0)))
+    raw = bytearray(buf.getvalue())
+    raw[5:13] = (1000).to_bytes(8, "little")  # claims 1000 elements, 3 are there
+    with pytest.raises(DataError, match="bytes"):
+        T.read_tensor(io.BytesIO(bytes(raw)))

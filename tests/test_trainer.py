@@ -70,6 +70,48 @@ def test_adam_nan_gradient_names_parameter():
         opt.step()
 
 
+def test_adam_failed_step_leaves_state_unchanged():
+    a = T.parameter(np.array([1.0, -2.0]), "a")
+    b = T.parameter(np.array([3.0]), "b")
+    opt = TR.Adam([("a", a), ("b", b)], lr=0.1)
+    a.grad, b.grad = np.array([0.5, -0.5]), np.array([1.0])
+    opt.step()
+    before = (a.data.copy(), b.data.copy(), {n: m.copy() for n, m in opt.first_moments.items()},
+              {n: v.copy() for n, v in opt.second_moments.items()})
+    a.grad, b.grad = np.array([0.5, -0.5]), np.array([np.nan])  # the bad gradient is the last group's
+    with pytest.raises(TrainingError, match="'b'"):
+        opt.step()
+    assert opt.t == 1
+    assert np.array_equal(a.data, before[0]) and np.array_equal(b.data, before[1])
+    for name in ("a", "b"):
+        assert np.array_equal(opt.first_moments[name], before[2][name])
+        assert np.array_equal(opt.second_moments[name], before[3][name])
+
+
+def test_adam_blocked_update_matches_whole_array_formula():
+    rng = np.random.default_rng(33)
+    shapes = [(2 * TR.Adam.BLOCK + 5,), (3, 4)]  # one spans three blocks, one is smaller than a block
+    params = [("big", T.parameter(rng.standard_normal(shapes[0]))), ("small", T.parameter(rng.standard_normal(shapes[1])))]
+    ref = {n: p.data.copy() for n, p in params}
+    m = {n: np.zeros(s) for n, s in zip(ref, shapes)}
+    v = {n: np.zeros(s) for n, s in zip(ref, shapes)}
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    opt = TR.Adam(params, lr=lr, decay=0.5, decay_per_step=True)
+    for t in range(1, 4):
+        for n, p in params:
+            p.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+            g = p.grad
+            m[n] *= b1
+            m[n] += (1.0 - b1) * g
+            v[n] *= b2
+            v[n] += (1.0 - b2) * g * g
+            ref[n] -= lr * 0.5**t * (m[n] / (1.0 - b1**t)) / (np.sqrt(v[n] / (1.0 - b2**t)) + eps)
+        opt.step()
+        for n, p in params:
+            assert np.array_equal(p.data, ref[n]), (n, t)
+            assert np.array_equal(opt.first_moments[n], m[n]) and np.array_equal(opt.second_moments[n], v[n])
+
+
 def test_adam_constant_gradient_converges_on_quadratic():
     p = T.parameter(np.array([5.0]), "p")
     opt = TR.Adam([("p", p)], lr=0.2)
