@@ -17,7 +17,7 @@ import numpy as np
 from . import netpbm
 from .attention import write_weights_csv
 from .data import generate_synthetic, load_manifest, make_batches, write_manifest
-from .errors import ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError, ShapeError, TrainingError, UsageError
 from .model import build_model, load_checkpoint, load_config
 from .preprocess import DepthImage, augment_expand, crop_resize, depth_clip_normalize
 from .trainer import ablate, evaluate, gradcheck, train
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError) as exc:
+    except (CheckpointError, ConfigError, DataError, ShapeError, TrainingError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,11 +9,14 @@ model.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -157,6 +160,23 @@ def config_from_text(text: str) -> ModelConfig:
     return ModelConfig(**kwargs)
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Write through a temp file beside ``path`` that replaces it only once the block completes.
+
+    If the block fails, any earlier file at ``path`` is left as it was and the temp file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def load_config(path) -> ModelConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_text(fh.read())
@@ -165,6 +185,14 @@ def load_config(path) -> ModelConfig:
 def save_config(path, cfg: ModelConfig) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(config_to_text(cfg))
+
+
+class _Unfilled:
+    """Stands in for an init generator: ``uniform`` returns an unfilled array of the shape asked."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
 
 
 class Model:
@@ -184,9 +212,14 @@ class Model:
 
     @classmethod
     def build(cls, cfg: ModelConfig, seed: int | None = None) -> "Model":
-        seed = cfg.seed if seed is None else seed
+        return cls._assemble(cfg, cfg.seed if seed is None else seed, draw=True)
+
+    @classmethod
+    def _assemble(cls, cfg: ModelConfig, seed: int, draw: bool) -> "Model":
+        """The model ``cfg`` implies; with ``draw`` false its weights are left unfilled for a
+        checkpoint to overwrite, and only the dropout stream is seeded."""
         streams = np.random.SeedSequence(seed).spawn(6)
-        rngs = [np.random.default_rng(s) for s in streams]
+        rngs = [np.random.default_rng(s) if draw else _Unfilled for s in streams[:5]]
         model = cls(cfg)
 
         if cfg.modality in ("rgbd", "rgb"):
@@ -416,7 +449,7 @@ def save_checkpoint(model: Model, path, epoch: int = 0, optimizer=None) -> None:
     epoch, u32 record count, then (u32 name length, name, FTNS tensor) records."""
     config_bytes = config_to_text(model.cfg).encode("utf-8")
     records = _checkpoint_records(model, optimizer)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(config_bytes)))
@@ -482,12 +515,13 @@ def read_checkpoint(path):
 def load_checkpoint(path) -> Model:
     """Rebuild the model a checkpoint describes; strict about names and shapes.
 
-    Each record is read straight into the built model's parameter or state array.
+    The model is assembled without drawing initial weights, and each record is
+    read straight into its parameter or state array.
     """
     loaded = set()
     with open(path, "rb") as fh:
         cfg, _, count = _read_header(fh)
-        model = Model.build(cfg)
+        model = Model._assemble(cfg, cfg.seed, draw=False)
         targets = {n: p.data for n, p in model.parameters()} | dict(model.state_arrays())
 
         def load(name, dims):

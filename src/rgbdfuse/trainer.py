@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .data import DatasetManifest, make_batches, protocol_split
 from .errors import ConfigError, TrainingError
-from .model import Model, ModelConfig, build_model, config_to_text, save_checkpoint
+from .model import Model, ModelConfig, atomic_write, build_model, config_to_text, save_checkpoint
 from .tensor import Tensor
 
 REPORT_COLUMNS = ("seed", "epoch", "train_loss", "train_acc", "test_acc", "effective_lr")
@@ -186,7 +186,7 @@ class RunReport:
         return out
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(REPORT_COLUMNS)
             for e in self.epochs:
@@ -203,7 +203,7 @@ class RunReport:
 
     def write_summary_csv(self, path) -> None:
         final_train = next((e.train_acc for e in reversed(self.epochs) if e.train_acc is not None), None)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(SUMMARY_COLUMNS)
             writer.writerow(
@@ -243,8 +243,9 @@ def _restore(model: Model, snapshot) -> None:
 def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = None, seed: int | None = None, out_dir=None):
     """Adam training with per-epoch evaluation and best-checkpoint retention.
 
-    Returns (RunReport, checkpoint path or None). On divergence (non-finite
-    loss) the last best checkpoint is kept and TrainingError is raised.
+    Returns (RunReport, checkpoint path or None). On divergence (a non-finite
+    loss or gradient) the run stops, the best parameters are restored, the
+    reports are written, and TrainingError is raised.
     """
     cfg = cfg or model.cfg
     seed = cfg.seed if seed is None else seed
@@ -276,7 +277,7 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
     report.epochs.append(EpochStats(0, None, None, acc0, optimizer.effective_lr()))
     record_best(acc0, 0)
 
-    diverged = False
+    failure = None  # why the run diverged
     for epoch in range(1, cfg.epochs + 1):
         optimizer.epoch = epoch - 1  # completed epochs drive the decay schedule
         loss_sum = 0.0
@@ -288,16 +289,20 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
             logits = model.forward(batch.rgb, batch.depth, "train")
             loss = T.cross_entropy(logits, batch.labels)
             if not np.isfinite(loss.item()):
-                diverged = True
+                failure = "loss became non-finite"
                 break
             optimizer.zero_grad()
             T.backward(loss, [p for _, p in optimizer.params])
-            optimizer.step()
+            try:
+                optimizer.step()
+            except TrainingError as exc:
+                failure = str(exc)
+                break
             b = batch.labels.size
             loss_sum += loss.item() * b
             hits += int((logits.data.argmax(axis=1) == batch.labels).sum())
             seen += b
-        if diverged:
+        if failure:
             report.aborted = True
             break
         test_acc, _ = evaluate(model, test_records, cfg.batch_size)
@@ -315,11 +320,10 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
     if out_dir:
         report.write_csv(out_dir / "report.csv")
         report.write_summary_csv(out_dir / "summary.csv")
-        (out_dir / "config.txt").write_text(report.config_text, encoding="utf-8")
-    if diverged:
-        raise TrainingError(
-            f"loss became non-finite; best checkpoint from epoch {report.best_epoch} retained"
-        )
+        with atomic_write(out_dir / "config.txt", "w", encoding="utf-8") as fh:
+            fh.write(report.config_text)
+    if failure:
+        raise TrainingError(f"{failure}; best checkpoint from epoch {report.best_epoch} retained")
     return report, ckpt_path
 
 

@@ -1,12 +1,15 @@
 """End-to-end CLI flows: synth -> preprocess -> train -> eval/embed, gradcheck, ablate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rgbdfuse import netpbm
 from rgbdfuse.cli import main
 from rgbdfuse.data import load_manifest
-from rgbdfuse.model import ModelConfig, config_to_text
+from rgbdfuse.errors import UsageError
+from rgbdfuse.model import ModelConfig, build_model, config_to_text, save_checkpoint
 from rgbdfuse.preprocess import DepthImage, depth_clip_normalize
 
 MICRO_CFG = ModelConfig(
@@ -162,3 +165,45 @@ def test_eval_missing_split_fails_cleanly(tmp_path, synth_dir):
     main(["train", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path), "--out", str(run_dir)])
     code = main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--manifest", str(synth_dir / "manifest.csv"), "--split", "test9"])
     assert code == 2
+
+
+def _assert_clean_exit(code, capsys, match):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and match in err
+    assert "Traceback" not in err
+
+
+def test_truncated_checkpoint_is_a_clean_exit(tmp_path, synth_dir, capsys):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(build_model(MICRO_CFG), path)
+    path.write_bytes(path.read_bytes()[:-5])
+    code = main(["eval", "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")])
+    _assert_clean_exit(code, capsys, "truncated")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_is_a_clean_exit(tmp_path, synth_dir, capsys):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config_to_text(dataclasses.replace(MICRO_CFG, learning_rate=1e300)))
+    run_dir = tmp_path / "run"
+    code = main(["train", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path), "--out", str(run_dir)])
+    _assert_clean_exit(code, capsys, "non-finite")
+    assert (run_dir / "summary.csv").is_file()
+
+
+def test_checkpoint_of_another_input_size_is_a_clean_exit(tmp_path, synth_dir, capsys):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(build_model(dataclasses.replace(MICRO_CFG, input_size=32)), path)
+    code = main(["eval", "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")])
+    _assert_clean_exit(code, capsys, "rgb batch must be")
+
+
+def test_usage_error_is_a_clean_exit(capsys, monkeypatch):
+    from rgbdfuse import cli
+
+    def misused(**kwargs):
+        raise UsageError("batchnorm train mode needs a batch of at least 2")
+
+    monkeypatch.setattr(cli, "gradcheck", misused)
+    _assert_clean_exit(main(["gradcheck", "--max-coords", "1"]), capsys, "batchnorm")

@@ -234,6 +234,47 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert cfg_back == cfg
 
 
+def test_loaded_model_draws_the_same_dropout_masks_as_a_built_one(tmp_path):
+    cfg = tiny_cfg(dropout=0.5)
+    built = M.build_model(cfg)
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(built, path)
+    loaded = M.load_checkpoint(path)
+    fresh = M.build_model(cfg)
+    rgb, depth = tiny_batch(cfg, b=4, seed=8)
+    for _ in range(3):  # consecutive train-mode passes draw consecutive masks
+        want = fresh.forward(rgb, depth, "train").data
+        assert np.array_equal(loaded.forward(rgb, depth, "train").data, want)
+    for (name, a), (_, b) in zip(loaded.state_arrays(), fresh.state_arrays()):
+        assert np.array_equal(a, b), name
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    first = M.build_model(cfg)
+    path = tmp_path / "best.ckpt"
+    M.save_checkpoint(first, path)
+
+    written = {"n": 0}
+    real_write = T.write_tensor
+
+    def failing_write(stream, t):
+        written["n"] += 1
+        if written["n"] == 3:
+            raise OSError("disk full")
+        real_write(stream, t)
+
+    monkeypatch.setattr(T, "write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        M.save_checkpoint(M.build_model(tiny_cfg(seed=7)), path)
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
+    restored = M.load_checkpoint(path)
+    for (name, a), (_, b) in zip(first.parameters(), restored.parameters()):
+        assert np.array_equal(a.data, b.data), name
+
+
 def test_checkpoint_truncated_file(tmp_path):
     cfg = tiny_cfg()
     model = M.build_model(cfg)

@@ -1,11 +1,13 @@
 """Tensor core: forward values against hand arithmetic, backward against finite differences."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rgbdfuse import tensor as T
 from rgbdfuse.errors import ConfigError, DataError, ShapeError, UsageError
@@ -125,6 +127,81 @@ def test_conv2d_strided_gradients():
     b = T.parameter(rng.standard_normal(3), "b")
     w = T.Tensor(rng.standard_normal((4, 4, 3)))
     check_grad(lambda: T.tsum(T.conv2d(x, k, b, "same", 2) * w), [x, k, b], 1e-5)
+
+
+def one_shot_conv(x, k, b, padding, stride):
+    """Reference forward: the whole im2col matrix at once, then one tensordot."""
+    x4 = x if x.ndim == 4 else x[None]
+    kh, kw = k.shape[:2]
+    hout, pt, pb = T._conv_geometry(x4.shape[1], kh, padding, stride)
+    wout, pl, pr = T._conv_geometry(x4.shape[2], kw, padding, stride)
+    xp = np.pad(x4, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+    out = np.tensordot(cols, k, axes=([3, 4, 5], [0, 1, 2])) + b
+    return out if x.ndim == 4 else out[0]
+
+
+# (input shape, kernel extent, padding, stride). Every case has more im2col elements
+# than one block; Cout is 8 as in the desk backbone's first stage. Equality holds where
+# the BLAS gives a row the same dot product whatever the row count of the GEMM call.
+SPANNING_CASES = {
+    "image_larger_than_a_block": ((2, 40, 40, 8), 3, "same", 1),
+    "several_images_per_block": ((30, 10, 10, 3), 3, "same", 1),
+    "stride_2": ((3, 50, 50, 4), 3, "same", 2),
+    "valid_padding": ((2, 60, 60, 3), 3, "valid", 1),
+    "unbatched": ((70, 70, 4), 3, "same", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPANNING_CASES))
+def test_conv2d_blocked_forward_is_bit_identical_to_one_shot_im2col(case):
+    shape, kk, padding, stride = SPANNING_CASES[case]
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((kk, kk, shape[-1], 8))
+    b = rng.standard_normal(8)
+    expected = one_shot_conv(x, k, b, padding, stride)
+    positions = int(np.prod(expected.shape[:-1]))
+    per_image = positions // (shape[0] if len(shape) == 4 else 1)
+    assert positions * kk * kk * shape[-1] > T.CONV_BLOCK
+    if case == "several_images_per_block":
+        assert 2 * per_image * kk * kk * shape[-1] <= T.CONV_BLOCK
+    out = T.conv2d(T.Tensor(x), T.Tensor(k), T.Tensor(b), padding, stride)
+    assert np.array_equal(out.data, expected)
+
+
+@pytest.mark.parametrize("padding,stride", [("same", 1), ("valid", 2)])
+def test_conv2d_gradients_across_blocks(monkeypatch, padding, stride):
+    # a small block makes a small input span many blocks, both in the forward's im2col and
+    # in the input gradient's correlation of g with the flipped kernels
+    monkeypatch.setattr(T, "CONV_BLOCK", 64)
+    rng = np.random.default_rng(41)
+    x = T.parameter(rng.standard_normal((2, 11, 11, 3)), "x")
+    k = T.parameter(rng.standard_normal((3, 3, 3, 4)), "k")
+    b = T.parameter(rng.standard_normal(4), "b")
+    out_shape = T.conv2d(x, k, b, padding, stride).shape
+    assert len(T._conv_blocks(2, out_shape[1], out_shape[2], 3 * 3 * 3)) >= 3
+    assert len(T._conv_blocks(2, 11, 11, 3 * 3 * 4)) >= 3
+    w = T.Tensor(rng.standard_normal(out_shape))
+    check_grad(lambda: T.tsum(T.conv2d(x, k, b, padding, stride) * w), [x, k, b], 1e-5)
+
+
+def test_conv2d_stage0_forward_stays_well_below_one_cols_buffer():
+    rng = np.random.default_rng(42)
+    x = T.Tensor(rng.random((20, 112, 112, 3)))
+    k = T.parameter(rng.uniform(-0.2, 0.2, (3, 3, 3, 8)), "k")
+    b = T.parameter(np.zeros(8), "b")
+    cols_bytes = 20 * 112 * 112 * 27 * 8  # the one-shot im2col matrix, 54 MB
+    tracemalloc.start()
+    try:
+        out = T.conv2d(x, k, b, "same", 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None  # the graph is recorded and holds what backward needs
+    assert peak < cols_bytes / 2
+    assert held < cols_bytes / 2
 
 
 # -- channel concat / broadcast multiplies ---------------------------------

@@ -7,7 +7,7 @@ from rgbdfuse import tensor as T
 from rgbdfuse import trainer as TR
 from rgbdfuse.data import make_batches, protocol_split
 from rgbdfuse.errors import ConfigError, TrainingError
-from rgbdfuse.model import ModelConfig, build_model
+from rgbdfuse.model import ModelConfig, build_model, load_checkpoint
 from rgbdfuse.tensor import Tensor
 
 MICRO = dict(
@@ -270,6 +270,35 @@ def test_train_divergence_aborts_with_checkpoint(tmp_path, micro_manifest, monke
     with pytest.raises(TrainingError, match="retained"):
         TR.train(model, micro_manifest, out_dir=tmp_path / "run")
     assert (tmp_path / "run" / "best.ckpt").is_file()
+
+
+def test_train_nan_gradient_restores_best_and_writes_reports(tmp_path, micro_manifest, monkeypatch):
+    cfg = micro_cfg(classes=micro_manifest.class_count, epochs=3, seed=6)
+    model = build_model(cfg)
+    initial = {n: p.data.copy() for n, p in model.parameters()}
+
+    steps = {"n": 0}
+    real_step = TR.Adam.step
+
+    def step_with_nan_at_third(self):
+        steps["n"] += 1
+        if steps["n"] == 3:
+            self.params[0][1].grad[...] = np.nan
+        real_step(self)
+
+    monkeypatch.setattr(TR.Adam, "step", step_with_nan_at_third)
+    run = tmp_path / "run"
+    with pytest.raises(TrainingError, match=r"non-finite gradient.*retained"):
+        TR.train(model, micro_manifest, out_dir=run)
+    assert sorted(p.name for p in run.iterdir()) == ["best.ckpt", "config.txt", "report.csv", "summary.csv"]
+    assert (run / "summary.csv").read_text().splitlines()[1].endswith(",true")
+
+    # 12 train records in batches of 4 take 3 steps an epoch: step 3 fails in epoch 1,
+    # so the best parameters are the initial ones, the ones best.ckpt holds
+    best = dict(load_checkpoint(run / "best.ckpt").parameters())
+    for name, p in model.parameters():
+        assert np.array_equal(p.data, initial[name]), name
+        assert np.array_equal(p.data, best[name].data), name
 
 
 # -- gradcheck ----------------------------------------------------------------------
