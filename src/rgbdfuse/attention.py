@@ -7,8 +7,8 @@ two gates spatial positions: channel-wise average and max maps are stacked and
 reduced to a single map by a 1x1 convolution (or a dense layer), squashed, and
 broadcast over channels.
 
-Both modules accept a single volume [M x M x C] or a batch [B x M x M x C];
-weights come back per sample in the batched case.
+Both modules run on a batch [B x M x M x C] and return weights per sample; a
+single volume [M x M x C] runs as a batch of one.
 """
 
 from __future__ import annotations
@@ -28,21 +28,16 @@ SPATIAL_VARIANTS = ("conv", "dense")
 
 
 def reshape_to_map_sequence(f: Tensor) -> Tensor:
-    """Turn [M x M x C] into a C-step sequence of row-major flattened maps [C x M^2].
-
-    A batched volume [B x M x M x C] becomes [C x B x M^2] (time-major).
-    """
+    """Turn a batch of square volumes [B x M x M x C] into a time-major C-step sequence
+    of row-major flattened maps [C x B x M^2]; one volume [M x M x C] gives [C x M^2]."""
     if f.ndim == 3:
-        m, m2, c = f.shape
-        if m != m2:
-            raise ShapeError(f"expected a square volume, got {f.shape}")
-        return T.transpose(T.reshape(f, (m * m, c)), (1, 0))
-    if f.ndim == 4:
-        b, m, m2, c = f.shape
-        if m != m2:
-            raise ShapeError(f"expected square volumes, got {f.shape}")
-        return T.transpose(T.reshape(f, (b, m * m, c)), (2, 0, 1))
-    raise ShapeError(f"expected rank 3 or 4, got {f.shape}")
+        return T.drop_batch_axis(reshape_to_map_sequence(T.add_batch_axis(f)), 1)
+    if f.ndim != 4:
+        raise ShapeError(f"expected rank 3 or 4, got {f.shape}")
+    b, m, m2, c = f.shape
+    if m != m2:
+        raise ShapeError(f"expected square volumes, got {f.shape}")
+    return T.transpose(T.reshape(f, (b, m * m, c)), (2, 0, 1))
 
 
 @dataclass
@@ -106,21 +101,21 @@ class FeatureMapAttention:
         out += [(f"score.{n}", p) for n, p in self.score.parameters()]
         return out
 
-    def _scores(self, f4: Tensor) -> Tensor:
-        b, m, _, c = f4.shape
+    def _scores(self, f: Tensor) -> Tensor:
+        b, m, _, c = f.shape
         if self.variant == "dense_only":
-            seq = reshape_to_map_sequence(f4)  # [C, B, M^2]
+            seq = reshape_to_map_sequence(f)  # [C, B, M^2]
             flat = T.reshape(seq, (c * b, m * m))
             theta = dense_forward(self.score, flat)
             return T.transpose(T.reshape(theta, (c, b)), (1, 0))
         if self.transposed:
-            seq = T.transpose(T.reshape(f4, (b, m * m, c)), (1, 0, 2))  # [M^2, B, C]
+            seq = T.transpose(T.reshape(f, (b, m * m, c)), (1, 0, 2))  # [M^2, B, C]
             hs = seq
             for layer in self.lstm_stack:
                 hs = lstm_forward(layer, hs)
             last = T.index_axis0(hs, m * m - 1)  # [B, H]
             return dense_forward(self.score, last)
-        seq = reshape_to_map_sequence(f4)  # [C, B, M^2]
+        seq = reshape_to_map_sequence(f)  # [C, B, M^2]
         hs = seq
         if self.blstm_bwd is not None:
             hs = blstm_forward(self.lstm_stack[0], self.blstm_bwd, hs)
@@ -133,12 +128,16 @@ class FeatureMapAttention:
 
 
 def feature_map_attention(att: FeatureMapAttention, f: Tensor):
-    """Return (weights, refined): W in (0,1) per map and W * f."""
-    squeeze = f.ndim == 3
-    f4 = T.reshape(f, (1,) + f.shape) if squeeze else f
-    if f4.ndim != 4:
+    """Return (weights, refined): W in (0,1) per map and W * f.
+
+    ``f`` is [B x M x M x C] with weights [B x C], or one volume [M x M x C] with weights [C].
+    """
+    if f.ndim == 3:
+        weights, refined = feature_map_attention(att, T.add_batch_axis(f))
+        return T.drop_batch_axis(weights), T.drop_batch_axis(refined)
+    if f.ndim != 4:
         raise ShapeError(f"expected a feature volume, got {f.shape}")
-    b, m, m2, c = f4.shape
+    b, m, m2, c = f.shape
     if m != m2 or m != att.map_extent:
         raise ConfigError(f"attention configured for {att.map_extent}x{att.map_extent} maps, got {f.shape}")
     if c != att.channels:
@@ -146,11 +145,8 @@ def feature_map_attention(att: FeatureMapAttention, f: Tensor):
     if att.bypass:
         weights = Tensor(np.ones((b, c)))
     else:
-        weights = T.activation(att._scores(f4), att.activation)
-    refined = T.broadcast_mul_channel(f4, weights)
-    if squeeze:
-        return T.reshape(weights, (c,)), T.reshape(refined, f.shape)
-    return weights, refined
+        weights = T.activation(att._scores(f), att.activation)
+    return weights, T.broadcast_mul_channel(f, weights)
 
 
 @dataclass
@@ -182,28 +178,29 @@ class SpatialAttention:
 
 
 def spatial_attention(att: SpatialAttention, f: Tensor):
-    """Return (weights, refined): W in (0,1) per position and W * f."""
-    squeeze = f.ndim == 3
-    f4 = T.reshape(f, (1,) + f.shape) if squeeze else f
-    if f4.ndim != 4:
+    """Return (weights, refined): W in (0,1) per position and W * f.
+
+    ``f`` is [B x M x M x C] with weights [B x M x M], or one volume [M x M x C] with weights [M x M].
+    """
+    if f.ndim == 3:
+        weights, refined = spatial_attention(att, T.add_batch_axis(f))
+        return T.drop_batch_axis(weights), T.drop_batch_axis(refined)
+    if f.ndim != 4:
         raise ShapeError(f"expected a feature volume, got {f.shape}")
-    b, m, m2, _ = f4.shape
+    b, m, m2, _ = f.shape
     if m != m2 or m != att.map_extent:
         raise ConfigError(f"spatial attention configured for {att.map_extent}x{att.map_extent}, got {f.shape}")
     if att.bypass:
         weights = Tensor(np.ones((b, m, m)))
     else:
-        pooled = T.channel_concat(T.channel_pool(f4, "avg"), T.channel_pool(f4, "max"))  # [B,M,M,2]
+        pooled = T.channel_concat(T.channel_pool(f, "avg"), T.channel_pool(f, "max"))  # [B,M,M,2]
         if att.variant == "conv":
             theta = T.conv2d(pooled, att.kernels, att.bias, padding="valid", stride=1)
             weights = T.reshape(T.sigmoid(theta), (b, m, m))
         else:
             flat = T.reshape(pooled, (b, 2 * m * m))
             weights = T.sigmoid(T.reshape(dense_forward(att.dense, flat), (b, m, m)))
-    refined = T.broadcast_mul_spatial(f4, weights)
-    if squeeze:
-        return T.reshape(weights, (m, m)), T.reshape(refined, f.shape)
-    return weights, refined
+    return weights, T.broadcast_mul_spatial(f, weights)
 
 
 class TwoLevelResult(NamedTuple):

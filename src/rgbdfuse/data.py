@@ -48,33 +48,42 @@ def load_manifest(path) -> DatasetManifest:
     if not path.is_file():
         raise DataError(f"manifest not found: {path}")
     root = path.parent
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            lines = list(reader)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit, or a NUL byte
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not lines or tuple(h.strip() for h in lines[0]) != MANIFEST_COLUMNS:
+        raise DataError(f"{path}: expected header {','.join(MANIFEST_COLUMNS)}")
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
-            raise DataError(f"{path}: expected header {','.join(MANIFEST_COLUMNS)}")
-        seen = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(MANIFEST_COLUMNS):
-                raise DataError(f"{path}:{lineno}: expected {len(MANIFEST_COLUMNS)} columns, got {len(row)}")
-            subject, sample, rgb, depth, split, fold = (c.strip() for c in row)
-            key = (subject, sample)
-            if key in seen:
-                raise DataError(f"{path}:{lineno}: duplicate record {key} (first at line {seen[key]})")
-            seen[key] = lineno
-            rgb_path = root / rgb
-            depth_path = root / depth
-            for p in (rgb_path, depth_path):
-                if not p.is_file():
-                    raise DataError(f"{path}:{lineno}: referenced file does not exist: {p}")
+    seen = {}
+    for lineno, row in enumerate(lines[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(MANIFEST_COLUMNS):
+            raise DataError(f"{path}:{lineno}: expected {len(MANIFEST_COLUMNS)} columns, got {len(row)}")
+        subject, sample, rgb, depth, split, fold = (c.strip() for c in row)
+        key = (subject, sample)
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: duplicate record {key} (first at line {seen[key]})")
+        seen[key] = lineno
+        rgb_path = root / rgb
+        depth_path = root / depth
+        for p in (rgb_path, depth_path):
             try:
-                fold_idx = int(fold)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: fold must be an integer, got {fold!r}") from exc
-            rows.append((subject, sample, rgb_path, depth_path, split, fold_idx))
+                found = p.is_file()
+            except OSError as exc:  # e.g. a name too long for the filesystem
+                raise DataError(f"{path}:{lineno}: cannot look up referenced file: {exc.strerror}") from exc
+            if not found:
+                raise DataError(f"{path}:{lineno}: referenced file does not exist: {p}")
+        try:
+            fold_idx = int(fold)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: fold must be an integer, got {fold!r}") from exc
+        rows.append((subject, sample, rgb_path, depth_path, split, fold_idx))
     if not rows:
         raise DataError(f"{path}: manifest has no records")
     classes = sorted({r[0] for r in rows})

@@ -90,13 +90,12 @@ def _lstm_step(layer: LstmLayer, x: Tensor, h: Tensor, c: Tensor):
 
 
 def lstm_forward(layer: LstmLayer, seq: Tensor) -> Tensor:
-    """Run the recurrence over seq [T x in] (or [T x B x in]) from zero state.
+    """Run the recurrence over seq [T x B x in] (or one sequence [T x in]) from zero state.
 
-    Returns the hidden state at every step: [T x H] (or [T x B x H]).
+    Returns the hidden state at every step: [T x B x H] (or [T x H]).
     """
-    squeeze = seq.ndim == 2
-    if squeeze:
-        seq = T.reshape(seq, (seq.shape[0], 1, seq.shape[1]))
+    if seq.ndim == 2:
+        return T.drop_batch_axis(lstm_forward(layer, T.add_batch_axis(seq, 1)), 1)
     if seq.ndim != 3 or seq.shape[0] < 1:
         raise ShapeError(f"lstm expects [T x in] or [T x B x in] with T >= 1, got {seq.shape}")
     if seq.shape[2] != layer.n_in:
@@ -108,8 +107,7 @@ def lstm_forward(layer: LstmLayer, seq: Tensor) -> Tensor:
     for t in range(steps):
         h, c = _lstm_step(layer, T.index_axis0(seq, t), h, c)
         outputs.append(h)
-    out = T.stack0(outputs)
-    return T.reshape(out, (steps, layer.hidden)) if squeeze else out
+    return T.stack0(outputs)
 
 
 def blstm_forward(fwd: LstmLayer, bwd: LstmLayer, seq: Tensor) -> Tensor:

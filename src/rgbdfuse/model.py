@@ -94,6 +94,14 @@ class ModelConfig:
             raise ConfigError(
                 f"input size {self.input_size} not divisible by 2^{len(self.backbone_widths)} stages"
             )
+        if self.input_size < 2 ** len(self.backbone_widths):
+            raise ConfigError(f"input size {self.input_size} is below 2^{len(self.backbone_widths)} stages")
+        if self.lstm_hidden < 1:
+            raise ConfigError(f"lstm_hidden must be >= 1, got {self.lstm_hidden}")
+        if self.attention_activation not in T.ACTIVATIONS:
+            raise ConfigError(
+                f"attention_activation must be one of {T.ACTIVATIONS}, got {self.attention_activation!r}"
+            )
 
     @property
     def feature_extent(self) -> int:
@@ -183,7 +191,7 @@ def load_config(path) -> ModelConfig:
 
 
 def save_config(path, cfg: ModelConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(config_to_text(cfg))
 
 
@@ -470,6 +478,13 @@ def _read_exact(fh, n, what):
     return raw
 
 
+def _read_text(fh, n, what):
+    try:
+        return _read_exact(fh, n, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint {what} is not UTF-8 text: {exc}") from exc
+
+
 def _read_header(fh):
     """Check magic and version; returns (config, epoch, record count)."""
     if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
@@ -478,7 +493,7 @@ def _read_header(fh):
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     clen = struct.unpack("<I", _read_exact(fh, 4, "config length"))[0]
-    cfg = config_from_text(_read_exact(fh, clen, "config").decode("utf-8"))
+    cfg = config_from_text(_read_text(fh, clen, "config"))
     epoch = struct.unpack("<Q", _read_exact(fh, 8, "epoch"))[0]
     count = struct.unpack("<I", _read_exact(fh, 4, "record count"))[0]
     return cfg, epoch, count
@@ -491,7 +506,7 @@ def _read_records(fh, count, read) -> None:
     """
     for _ in range(count):
         nlen = struct.unpack("<I", _read_exact(fh, 4, "name length"))[0]
-        name = _read_exact(fh, nlen, "name").decode("utf-8")
+        name = _read_text(fh, nlen, "record name")
         try:
             read(name, T.read_tensor_header(fh))
         except DataError as exc:

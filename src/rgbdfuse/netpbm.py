@@ -5,6 +5,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import DataError
@@ -27,13 +29,21 @@ def _read_header(fh, magic: bytes, path):
             ch = fh.read(1)
         if not token:
             raise DataError(f"{path}: truncated netpbm header")
-        if not token.isdigit():
-            raise DataError(f"{path}: bad netpbm header token {token!r}")
+        if not token.isdigit() or len(token) > 18:  # 18 digits exceed any file; int() refuses 4,300+
+            raise DataError(f"{path}: bad netpbm header token {token[:24]!r}")
         fields.append(int(token))
     width, height, maxval = fields
     if width < 1 or height < 1 or maxval not in (255, 65535):
         raise DataError(f"{path}: unsupported netpbm geometry {width}x{height} maxval {maxval}")
     return width, height, maxval
+
+
+def _read_raster(fh, nbytes: int, path, magic: str) -> bytes:
+    """Read ``nbytes`` of pixel data, checked against what is left of the file before reading."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > left:
+        raise DataError(f"{path}: truncated {magic} pixel data: header needs {nbytes} bytes, {left} left")
+    return fh.read(nbytes)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -42,9 +52,7 @@ def read_ppm(path) -> np.ndarray:
         width, height, maxval = _read_header(fh, b"P6", path)
         if maxval != 255:
             raise DataError(f"{path}: only 8-bit P6 supported")
-        raw = fh.read(width * height * 3)
-    if len(raw) != width * height * 3:
-        raise DataError(f"{path}: truncated P6 pixel data")
+        raw = _read_raster(fh, width * height * 3, path, "P6")
     return np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3).copy()
 
 
@@ -61,14 +69,8 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary P5 image: uint8 [H x W] for maxval 255, uint16 for 65535."""
     with open(path, "rb") as fh:
         width, height, maxval = _read_header(fh, b"P5", path)
-        if maxval == 255:
-            raw = fh.read(width * height)
-            expected, dtype = width * height, np.uint8
-        else:
-            raw = fh.read(width * height * 2)
-            expected, dtype = width * height * 2, ">u2"
-    if len(raw) != expected:
-        raise DataError(f"{path}: truncated P5 pixel data")
+        dtype = np.uint8 if maxval == 255 else ">u2"
+        raw = _read_raster(fh, width * height * np.dtype(dtype).itemsize, path, "P5")
     img = np.frombuffer(raw, dtype=dtype).reshape(height, width)
     return img.astype(np.uint16) if maxval == 65535 else img.copy()
 

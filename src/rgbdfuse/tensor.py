@@ -4,12 +4,12 @@ Every value flowing through the network is a :class:`Tensor` wrapping a
 float64 numpy array. Operations record backward closures on their output;
 ``backward()`` replays them in reverse topological order, accumulating
 gradients into ``.grad`` buffers. A central finite-difference oracle
-(:func:`finite_diff_grad`) provides the independent cross-check used by the
+(:func:`central_difference`) provides the independent cross-check used by the
 test suite and the gradcheck runner.
 
-Spatial data is channel-last (H x W x C); most spatial primitives also accept
-an extra leading batch axis so the model can push whole batches through one
-graph node instead of one graph per sample.
+Spatial data is channel-last with a leading batch axis (B x H x W x C). Ops
+that also take one sample (H x W x C) run it as a batch of one, through
+:func:`add_batch_axis` and :func:`drop_batch_axis`.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class Tensor:
         """Add ``g`` into ``.grad``. The first write copies ``g``, which may be another
         tensor's grad or a read-only broadcast view, unless ``owned`` says the caller
         made ``g`` afresh and holds no other reference to it."""
-        if self.requires_grad or self._backward is not None:
+        if self.requires_grad:
             if self.grad is None:
                 self.grad = g if owned else np.array(g, dtype=np.float64, order="C")
             else:
@@ -147,9 +147,9 @@ def parameter(data, name=None) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    """Wrap an op result, attaching the backward closure when recording."""
+    """Wrap an op result; when recording, set ``requires_grad`` and the backward closure (only here)."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -265,13 +265,16 @@ def softmax(x: Tensor) -> Tensor:
     return _node(s, (x,), bwd)
 
 
+ACTIVATIONS = ("sigmoid", "relu", "softmax")
+
+
 def activation(x: Tensor, kind: str) -> Tensor:
-    """Dispatch by name: sigmoid, relu, or softmax over the last axis."""
+    """Dispatch by name, one of ``ACTIVATIONS``: sigmoid, relu, or softmax over the last axis."""
     if kind == "sigmoid":
         return sigmoid(x)
     if kind == "relu":
         return relu(x)
-    if kind in ("softmax", "softmax-lastaxis"):
+    if kind == "softmax":
         return softmax(x)
     raise ConfigError(f"unknown activation kind {kind!r}")
 
@@ -337,9 +340,19 @@ def stack0(tensors: Sequence[Tensor]) -> Tensor:
     return concat([reshape(t, (1,) + t.shape) for t in tensors], axis=0)
 
 
+def add_batch_axis(x: Tensor, axis: int = 0) -> Tensor:
+    """A single sample ``x`` as a batch of one, the batch axis at ``axis``."""
+    return reshape(x, x.shape[:axis] + (1,) + x.shape[axis:])
+
+
+def drop_batch_axis(x: Tensor, axis: int = 0) -> Tensor:
+    """Undo :func:`add_batch_axis`: remove the length-1 batch axis at ``axis``."""
+    return reshape(x, x.shape[:axis] + x.shape[axis + 1 :])
+
+
 def index_axis0(x: Tensor, i: int) -> Tensor:
     def bwd(g):
-        if x.requires_grad or x._backward is not None:
+        if x.requires_grad:
             x._grad_buffer()[i] += g
 
     return _node(x.data[i], (x,), bwd)
@@ -428,7 +441,7 @@ def _correlate(xp: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int) ->
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same", stride: int = 1) -> Tensor:
     """2-D cross-correlation plus per-channel bias.
 
-    ``x`` is [H x W x Cin] or [B x H x W x Cin]; ``kernels`` is
+    ``x`` is [B x H x W x Cin] (or one sample [H x W x Cin]); ``kernels`` is
     [kh x kw x Cin x Cout]; ``bias`` is [Cout]. Output spatial extent is
     floor((padded - k) / stride) + 1.
 
@@ -437,15 +450,16 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same", stri
     so each output element is the dot product a one-shot GEMM computes. The
     graph keeps only the padded input; backward copies the blocks again.
     """
+    if x.ndim == 3:
+        return drop_batch_axis(conv2d(add_batch_axis(x), kernels, bias, padding, stride))
     if not isinstance(stride, int) or stride <= 0:
         raise ConfigError(f"stride must be a positive integer, got {stride!r}")
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be [kh x kw x Cin x Cout], got {kernels.shape}")
-    batched = x.ndim == 4
-    if not batched and x.ndim != 3:
+    if x.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 3 or 4, got {x.shape}")
     kh, kw, cin, cout = kernels.shape
-    h, w, cx = x.shape[-3:]
+    _, h, w, cx = x.shape
     if cx != cin:
         raise ShapeError(f"input channels {cx} do not match kernel channels {cin}")
     if bias.shape != (cout,):
@@ -456,29 +470,27 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same", stri
     if kh > h + pt + pb or kw > w + pl + pr or hout < 1 or wout < 1:
         raise ConfigError(f"kernel {kh}x{kw} exceeds padded input {h + pt + pb}x{w + pl + pr}")
 
-    x4 = x.data if batched else x.data[None]
-    xp = np.pad(x4, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     out = _correlate(xp, kernels.data.reshape(-1, cout), kh, kw, stride)
     out += bias.data
 
     def bwd(g):
-        g4 = g if batched else g[None]
-        g2 = g4.reshape(-1, cout)
-        if kernels.requires_grad or kernels._backward is not None:
+        g2 = g.reshape(-1, cout)
+        if kernels.requires_grad:
             gk = sum(cols.T @ g2[lo : lo + len(cols)] for lo, cols in _im2col_blocks(xp, kh, kw, stride))
             kernels._accum(gk.reshape(kernels.shape), owned=True)
-        if bias.requires_grad or bias._backward is not None:
+        if bias.requires_grad:
             bias._accum(np.ones(len(g2)) @ g2, owned=True)  # a GEMV: faster than the row-by-row g2.sum(axis=0)
-        if x.requires_grad or x._backward is not None:
+        if x.requires_grad:
             # the input gradient is a stride-1 correlation of g, spread out by the stride and
             # zero-padded by the kernel extent, with the kernel flipped and its channel axes swapped
-            gp = np.zeros((g4.shape[0], xp.shape[1] + kh - 1, xp.shape[2] + kw - 1, cout))
-            gp[:, kh - 1 :: stride, kw - 1 :: stride][:, :hout, :wout] = g4
+            gp = np.zeros((g.shape[0], xp.shape[1] + kh - 1, xp.shape[2] + kw - 1, cout))
+            gp[:, kh - 1 :: stride, kw - 1 :: stride][:, :hout, :wout] = g
             flipped = kernels.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin)
             gx = _correlate(gp[:, pt : pt + h + kh - 1, pl : pl + w + kw - 1], flipped, kh, kw, 1)
-            x._accum(gx if batched else gx[0], owned=True)
+            x._accum(gx, owned=True)
 
-    return _node(out if batched else out[0], (x, kernels, bias), bwd)
+    return _node(out, (x, kernels, bias), bwd)
 
 
 def channel_concat(a: Tensor, b: Tensor) -> Tensor:
@@ -491,25 +503,22 @@ def channel_concat(a: Tensor, b: Tensor) -> Tensor:
 
 
 def broadcast_mul_channel(f: Tensor, w: Tensor) -> Tensor:
-    """Scale each feature map: out[..., i, j, c] = f[..., i, j, c] * w[..., c].
+    """Scale each feature map: out[b, i, j, c] = f[b, i, j, c] * w[b, c].
 
-    ``w`` is [C] for a single volume, or [B x C] against a batched ``f``.
+    ``w`` is [B x C] against ``f`` [B x H x W x C], or [C] for a single volume.
     """
+    if w.ndim == 1:
+        return drop_batch_axis(broadcast_mul_channel(add_batch_axis(f), add_batch_axis(w)))
     c = f.shape[-1]
     if w.shape[-1] != c:
         raise ShapeError(f"weight length {w.shape[-1]} does not match channel count {c}")
-    if w.ndim == 1:
-        wb = w.data
-        reduce_axes = tuple(range(f.ndim - 1))
-    elif w.ndim == 2 and f.ndim == 4 and w.shape[0] == f.shape[0]:
-        wb = w.data[:, None, None, :]
-        reduce_axes = (1, 2)
-    else:
+    if w.ndim != 2 or f.ndim != 4 or w.shape[0] != f.shape[0]:
         raise ShapeError(f"weights {w.shape} incompatible with volume {f.shape}")
+    wb = w.data[:, None, None, :]
 
     def bwd(g):
         f._accum(g * wb)
-        w._accum((g * f.data).sum(axis=reduce_axes))
+        w._accum((g * f.data).sum(axis=(1, 2)))
 
     return _node(f.data * wb, (f, w), bwd)
 
@@ -632,7 +641,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen and (p._backward is not None or p.requires_grad):
+            if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
     return order
 
@@ -658,10 +667,11 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.nda
     return out
 
 
-def finite_diff_grad(f, x: Tensor, h: float = 1e-5) -> Tensor:
-    """Central-difference gradient of a scalar-valued function at ``x``.
+def central_difference(f, x: Tensor, i: int, h: float = 1e-5) -> float:
+    """Central-difference derivative of scalar-valued ``f(x)`` along flat coordinate ``i`` of ``x``.
 
-    ``f`` must be deterministic (dropout off, batchnorm statistics frozen).
+    ``f`` must be deterministic (dropout off, batchnorm statistics frozen). It runs
+    without recording a graph; ``x.data`` is made C-contiguous and left as it was.
     """
 
     def evaluate() -> float:
@@ -672,15 +682,18 @@ def finite_diff_grad(f, x: Tensor, h: float = 1e-5) -> Tensor:
     if not x.data.flags["C_CONTIGUOUS"]:
         x.data = np.ascontiguousarray(x.data)
     flat = x.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = evaluate()
-        flat[i] = orig - h
-        lo = evaluate()
-        flat[i] = orig
-        grad[i] = (hi - lo) / (2.0 * h)
+    orig = flat[i]
+    flat[i] = orig + h
+    hi = evaluate()
+    flat[i] = orig - h
+    lo = evaluate()
+    flat[i] = orig
+    return (hi - lo) / (2.0 * h)
+
+
+def finite_diff_grad(f, x: Tensor, h: float = 1e-5) -> Tensor:
+    """Central-difference gradient of a scalar-valued function at ``x``, one coordinate at a time."""
+    grad = np.array([central_difference(f, x, i, h) for i in range(x.size)])
     return Tensor(grad.reshape(x.shape))
 
 
@@ -714,12 +727,16 @@ def read_tensor_header(stream) -> tuple[int, ...]:
     stream.seek(pos)
     if need > left:
         raise DataError(f"truncated tensor record: dims {dims} need {need} bytes, {left} bytes left")
+    # an empty record can still name dims no array can have: numpy 1.x allows 32 axes and
+    # a product of the nonzero dims times the item size below 2^63
+    if len(dims) > 32 or 8 * math.prod(max(d, 1) for d in dims) >= 1 << 63:
+        raise DataError(f"tensor record dims {dims} exceed what an array can hold")
     return tuple(dims)
 
 
 def read_tensor_into(stream, out: np.ndarray) -> None:
     """Read a record's data straight into ``out``, a C-contiguous float64 array of the header's shape."""
-    if stream.readinto(memoryview(out).cast("B")) != out.nbytes:
+    if out.size and stream.readinto(memoryview(out).cast("B")) != out.nbytes:  # no view casts an empty array
         raise DataError("truncated tensor record: missing data")
     if sys.byteorder == "big":
         out.byteswap(inplace=True)

@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .data import DatasetManifest, make_batches, protocol_split
 from .errors import ConfigError, TrainingError
-from .model import Model, ModelConfig, atomic_write, build_model, config_to_text, save_checkpoint
+from .model import Model, ModelConfig, atomic_write, build_model, config_to_text, save_checkpoint, save_config
 from .tensor import Tensor
 
 REPORT_COLUMNS = ("seed", "epoch", "train_loss", "train_acc", "test_acc", "effective_lr")
@@ -52,14 +52,14 @@ class Adam:
     # Elements per block of the update, so its two scratch buffers stay in L2 cache
     # (on the desk head 2^15 measured fastest, 2^14 and 2^16 within 8%, 2^13 and 2^17 slower).
     BLOCK = 1 << 15
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
 
-    def __init__(self, params, lr, decay=1.0, beta1=0.9, beta2=0.999, eps=1e-8, decay_per_step=False):
+    def __init__(self, params, lr, decay=1.0, decay_per_step=False):
         self.params = list(params)  # (name, Tensor)
         self.lr = lr
         self.decay = decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.decay_per_step = decay_per_step
         self.t = 0
         self.epoch = 0  # completed epochs, set by the training loop
@@ -81,7 +81,7 @@ class Adam:
                 raise TrainingError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         lr = self.effective_lr()
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2, eps = self.BETA1, self.BETA2, self.EPS
         c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         scratch = np.empty((2, self.BLOCK))
         for name, p in self.params:
@@ -320,8 +320,7 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
     if out_dir:
         report.write_csv(out_dir / "report.csv")
         report.write_summary_csv(out_dir / "summary.csv")
-        with atomic_write(out_dir / "config.txt", "w", encoding="utf-8") as fh:
-            fh.write(report.config_text)
+        save_config(out_dir / "config.txt", cfg)
     if failure:
         raise TrainingError(f"{failure}; best checkpoint from epoch {report.best_epoch} retained")
     return report, ckpt_path
@@ -387,27 +386,28 @@ class GradcheckReport:
             yield f"{status} {g.name}: {g.checked} coords, max rel err {g.max_rel_err:.3e}"
 
 
+GRADCHECK_ATOL = 1e-9
+GRADCHECK_REL_FLOOR = 1e-6
+
+
 def gradcheck(
-    cfg: ModelConfig | None = None,
     seed: int = 0,
     variant: str = "two_level",
     max_coords: int = 500,
     tolerance: float = 1e-4,
     h: float = 1e-5,
-    atol: float = 1e-9,
-    rel_floor: float = 1e-6,
 ) -> GradcheckReport:
-    """Backward pass versus central finite differences on a toy model.
+    """Backward pass versus central finite differences on the variant's toy model.
 
     Dropout is off and batchnorm runs on frozen (eval) statistics so the loss
     is a deterministic function of the parameters. Per parameter group, up to
     ``max_coords`` coordinates are probed; a coordinate passes on relative
-    error < tolerance, or on absolute error < ``atol`` where the gradient is
-    too small for finite differences to resolve. Reported relative errors
-    cover coordinates above ``rel_floor``; below it the central-difference
+    error < tolerance, or on absolute error < ``GRADCHECK_ATOL`` where the gradient
+    is too small for finite differences to resolve. Reported relative errors
+    cover coordinates above ``GRADCHECK_REL_FLOOR``; below it the central-difference
     roundoff (~1e-11 at h=1e-5) dominates the quotient.
     """
-    cfg = cfg or gradcheck_config(variant)
+    cfg = gradcheck_config(variant)
     model = build_model(cfg, seed)
     rng = np.random.default_rng(seed + 1)
     b = max(2, cfg.batch_size)
@@ -415,45 +415,34 @@ def gradcheck(
     depth = Tensor(rng.random((b, cfg.input_size, cfg.input_size, 1)))
     labels = [i % cfg.classes for i in range(b)]
 
-    def loss_value() -> float:
-        with T.no_grad():
-            return T.cross_entropy(model.forward(rgb, depth, "eval"), labels).item()
+    def loss() -> Tensor:
+        return T.cross_entropy(model.forward(rgb, depth, "eval"), labels)
 
     params = model.parameters()
     for _, p in params:
         p.zero_grad()
-    loss = T.cross_entropy(model.forward(rgb, depth, "eval"), labels)
-    T.backward(loss, [p for _, p in params])
+    T.backward(loss(), [p for _, p in params])
 
     coord_rng = np.random.default_rng(seed + 2)
     groups = []
     for name, p in params:
-        if not p.data.flags["C_CONTIGUOUS"]:
-            p.data = np.ascontiguousarray(p.data)
-        flat = p.data.reshape(-1)
         grad = p.grad.reshape(-1)
-        if flat.size <= max_coords:
-            coords = np.arange(flat.size)
+        if p.size <= max_coords:
+            coords = np.arange(p.size)
         else:
-            coords = coord_rng.choice(flat.size, size=max_coords, replace=False)
+            coords = coord_rng.choice(p.size, size=max_coords, replace=False)
         max_rel = 0.0
         max_abs = 0.0
         ok = True
         for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + h
-            hi = loss_value()
-            flat[idx] = orig - h
-            lo = loss_value()
-            flat[idx] = orig
-            fd = (hi - lo) / (2.0 * h)
+            fd = T.central_difference(lambda _: loss(), p, idx, h)
             a = grad[idx]
             diff = abs(a - fd)
             scale = max(abs(a), abs(fd))
             max_abs = max(max_abs, diff)
-            if scale > rel_floor:
+            if scale > GRADCHECK_REL_FLOOR:
                 max_rel = max(max_rel, diff / scale)
-            if diff > max(tolerance * scale, atol):
+            if diff > max(tolerance * scale, GRADCHECK_ATOL):
                 ok = False
         groups.append(GroupResult(name, len(coords), max_rel, max_abs, ok))
     return GradcheckReport(variant, groups)
@@ -530,7 +519,7 @@ def ablate(manifest: DatasetManifest, base_cfg: ModelConfig, seeds, out_csv=None
 
 
 def write_ablation_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ABLATION_COLUMNS)
         for row in rows:

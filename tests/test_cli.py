@@ -207,3 +207,13 @@ def test_usage_error_is_a_clean_exit(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "gradcheck", misused)
     _assert_clean_exit(main(["gradcheck", "--max-coords", "1"]), capsys, "batchnorm")
+
+
+def test_non_utf8_checkpoint_is_a_clean_exit(tmp_path, synth_dir, capsys):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(build_model(MICRO_CFG), path)
+    raw = bytearray(path.read_bytes())
+    raw[12] = 0xFF  # first byte of the config text
+    path.write_bytes(bytes(raw))
+    code = main(["eval", "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")])
+    _assert_clean_exit(code, capsys, "not UTF-8")

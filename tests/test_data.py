@@ -283,3 +283,21 @@ def test_synthetic_shared_rgb_pairs(tmp_path):
     within_pair = np.abs(mean_rgb(0) - mean_rgb(1)).mean()  # shared template, shift/noise only
     across_pairs = np.abs(mean_rgb(0) - mean_rgb(2)).mean()  # distinct templates
     assert within_pair < 0.5 * across_pairs
+
+
+@pytest.mark.parametrize(
+    "field, match",
+    [
+        (b"\xff\xfe", "UTF-8"),  # undecodable bytes
+        (b"x" * (200 << 10), "field larger"),  # over the csv module's 128 KiB field limit
+        (b"a" * 300 + b".ppm", "cannot look up"),  # a name too long for the filesystem
+    ],
+    ids=["invalid-utf8", "oversized-field", "overlong-name"],
+)
+def test_manifest_undecodable_row_is_data_error(tmp_path, field, match):
+    rgb, depth = make_images(tmp_path, "a", "0")
+    header = ",".join(D.MANIFEST_COLUMNS).encode()
+    row = b"a,0," + field + b"," + depth.encode() + b",train,0"
+    (tmp_path / "manifest.csv").write_bytes(header + b"\n" + row + b"\n")
+    with pytest.raises(DataError, match=match):
+        D.load_manifest(tmp_path / "manifest.csv")

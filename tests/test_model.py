@@ -354,3 +354,34 @@ def test_checkpoint_size_arithmetic(tmp_path):
     assert path.stat().st_size == expected
     params_and_state = M.parameter_count(cfg) + sum(a.size for _, a in model.state_arrays())
     assert path.stat().st_size > 8 * params_and_state
+
+
+def test_config_validation_rejects_degenerate_sizes_and_unknown_activation():
+    for overrides in (
+        dict(input_size=0),
+        dict(input_size=-4),
+        dict(lstm_hidden=0),
+        dict(attention_activation="swish"),
+        dict(attention_activation="swish", attention_bypass=True),
+    ):
+        with pytest.raises(ConfigError):
+            tiny_cfg(**overrides)
+    tiny_cfg(epochs=0, attention_activation="softmax")
+
+
+@pytest.mark.parametrize("where", ["config", "record name"])
+def test_checkpoint_non_utf8_text_is_checkpoint_error(tmp_path, where):
+    model = M.build_model(tiny_cfg())
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(model, path)
+    raw = bytearray(path.read_bytes())
+    if where == "config":
+        raw[12] = 0xFF  # first byte of the config text
+    else:
+        name = model.parameters()[0][0].encode()
+        raw[raw.index(name)] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"{where} is not UTF-8"):
+        M.read_checkpoint(path)
+    with pytest.raises(CheckpointError, match=f"{where} is not UTF-8"):
+        M.load_checkpoint(path)

@@ -296,3 +296,19 @@ def test_netpbm_errors(tmp_path):
         netpbm.read_ppm(tmp_path / "bad.ppm")
     with pytest.raises(DataError):
         netpbm.read_pgm(tmp_path / "bad.ppm")
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P6 99999999 99999999 255\n",  # 3e16 bytes of pixels: the read alone would exhaust memory
+        b"P5 99999999999 99999999999 65535\n",  # a byte count past what one read can take
+        b"P5 " + b"9" * 5000 + b" 2 255\n",  # a token past the digits int() converts
+    ],
+    ids=["p6-memory", "p5-16bit-overflow", "5000-digit-token"],
+)
+def test_netpbm_oversized_header_is_data_error(tmp_path, header):
+    path = tmp_path / "big.pnm"
+    path.write_bytes(header + b"\x00" * 16)
+    with pytest.raises(DataError, match="truncated|token"):
+        (netpbm.read_ppm if header.startswith(b"P6") else netpbm.read_pgm)(path)

@@ -677,3 +677,42 @@ def test_tensor_header_larger_than_stream_is_data_error():
     raw[5:13] = (1000).to_bytes(8, "little")  # claims 1000 elements, 3 are there
     with pytest.raises(DataError, match="bytes"):
         T.read_tensor(io.BytesIO(bytes(raw)))
+
+
+def test_empty_tensor_round_trip():
+    buf = io.BytesIO()
+    T.write_tensor(buf, T.Tensor(np.zeros((3, 0))))
+    buf.seek(0)
+    assert T.read_tensor(buf).shape == (3, 0)
+
+
+@pytest.mark.parametrize("dims", [(0, 2**63), (2**62, 0), (0,) * 33])
+def test_tensor_header_dims_no_array_can_have_is_data_error(dims):
+    raw = b"FTNS" + bytes([len(dims)]) + b"".join(d.to_bytes(8, "little") for d in dims)
+    with pytest.raises(DataError, match="exceed"):
+        T.read_tensor(io.BytesIO(raw))
+
+
+# -- the batch-of-one boundary and the finite-difference oracle -------------------
+
+
+def test_batch_axis_round_trip_carries_gradients():
+    rng = np.random.default_rng(40)
+    x = T.parameter(rng.standard_normal((3, 4)), "x")
+    g = T.Tensor(rng.standard_normal((3, 4)))
+    assert T.add_batch_axis(x).shape == (1, 3, 4)
+    assert T.add_batch_axis(x, 1).shape == (3, 1, 4)
+    check_grad(lambda: T.tsum(T.drop_batch_axis(T.add_batch_axis(x, 1), 1) * g), [x], 1e-6)
+
+
+def test_central_difference_restores_input_and_matches_finite_diff_grad():
+    x = T.Tensor(np.arange(6.0).reshape(2, 3).T)  # not C-contiguous
+    before = x.data.copy()
+
+    def cube(t):
+        return T.tsum(t * t * t)
+
+    d = T.central_difference(cube, x, 4, 1e-4)
+    assert abs(d - 3.0 * before.reshape(-1)[4] ** 2) < 1e-6
+    assert np.array_equal(x.data, before)
+    assert T.finite_diff_grad(cube, x, 1e-4).data.reshape(-1)[4] == d

@@ -369,3 +369,13 @@ def test_ablate_single_variant_single_seed(tmp_path, micro_manifest, monkeypatch
 def test_ablate_requires_seeds(micro_manifest):
     with pytest.raises(ConfigError):
         TR.ablate(micro_manifest, micro_cfg(classes=3), seeds=[])
+
+
+def test_failed_ablation_csv_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "ablation.csv"
+    path.write_text("previous\n")
+    good = TR.AblationRow("table5", "concat", [0], [0.5], [], [])
+    with pytest.raises(AttributeError):
+        TR.write_ablation_csv(path, [good, object()])  # fails after the header and one row
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ablation.csv"]
