@@ -103,20 +103,12 @@ class FeatureMapAttention:
 
     def _scores(self, f: Tensor) -> Tensor:
         b, m, _, c = f.shape
-        if self.variant == "dense_only":
-            seq = reshape_to_map_sequence(f)  # [C, B, M^2]
-            flat = T.reshape(seq, (c * b, m * m))
-            theta = dense_forward(self.score, flat)
-            return T.transpose(T.reshape(theta, (c, b)), (1, 0))
-        if self.transposed:
-            seq = T.transpose(T.reshape(f, (b, m * m, c)), (1, 0, 2))  # [M^2, B, C]
-            hs = seq
+        if self.transposed and self.lstm_stack:  # dense_only has no stack and ignores the orientation
+            hs = T.transpose(T.reshape(f, (b, m * m, c)), (1, 0, 2))  # [M^2, B, C]
             for layer in self.lstm_stack:
                 hs = lstm_forward(layer, hs)
-            last = T.index_axis0(hs, m * m - 1)  # [B, H]
-            return dense_forward(self.score, last)
-        seq = reshape_to_map_sequence(f)  # [C, B, M^2]
-        hs = seq
+            return dense_forward(self.score, T.take(hs, m * m - 1))  # last step [B, H]
+        hs = reshape_to_map_sequence(f)  # [C, B, M^2]; dense_only scores it directly
         if self.blstm_bwd is not None:
             hs = blstm_forward(self.lstm_stack[0], self.blstm_bwd, hs)
         else:

@@ -79,20 +79,13 @@ class LstmLayer:
         return out
 
 
-def _lstm_step(layer: LstmLayer, x: Tensor, h: Tensor, c: Tensor):
-    gi = T.sigmoid(T.matmul(x, layer.w["i"]) + T.matmul(h, layer.u["i"]) + layer.b["i"])
-    gf = T.sigmoid(T.matmul(x, layer.w["f"]) + T.matmul(h, layer.u["f"]) + layer.b["f"])
-    gc = T.tanh(T.matmul(x, layer.w["c"]) + T.matmul(h, layer.u["c"]) + layer.b["c"])
-    go = T.sigmoid(T.matmul(x, layer.w["o"]) + T.matmul(h, layer.u["o"]) + layer.b["o"])
-    c_new = gf * c + gi * gc
-    h_new = go * T.tanh(c_new)
-    return h_new, c_new
-
-
 def lstm_forward(layer: LstmLayer, seq: Tensor) -> Tensor:
     """Run the recurrence over seq [T x B x in] (or one sequence [T x in]) from zero state.
 
-    Returns the hidden state at every step: [T x B x H] (or [T x H]).
+    The gates run packed in (i, f, c, o) order: the input projection of every step is
+    one GEMM against W [in x 4H], and each step adds h U (U [H x 4H]) and b [4H], then
+    splits the sum into the four gates. Returns the hidden state at every step:
+    [T x B x H] (or [T x H]).
     """
     if seq.ndim == 2:
         return T.drop_batch_axis(lstm_forward(layer, T.add_batch_axis(seq, 1)), 1)
@@ -100,12 +93,19 @@ def lstm_forward(layer: LstmLayer, seq: Tensor) -> Tensor:
         raise ShapeError(f"lstm expects [T x in] or [T x B x in] with T >= 1, got {seq.shape}")
     if seq.shape[2] != layer.n_in:
         raise ShapeError(f"lstm configured for width {layer.n_in}, got steps of width {seq.shape[2]}")
-    steps, batch = seq.shape[0], seq.shape[1]
-    h = Tensor(np.zeros((batch, layer.hidden)))
-    c = Tensor(np.zeros((batch, layer.hidden)))
+    steps, batch, hidden = seq.shape[0], seq.shape[1], layer.hidden
+    w, u = (T.concat([m[g] for g in _GATES], axis=1) for m in (layer.w, layer.u))
+    b = T.concat([layer.b[g] for g in _GATES], axis=0)
+    xw = T.matmul(T.reshape(seq, (steps * batch, layer.n_in)), w)  # step t is rows t*B : (t+1)*B
+    gates = [(slice(None), slice(k * hidden, (k + 1) * hidden)) for k in range(4)]
+    h = Tensor(np.zeros((batch, hidden)))
+    c = Tensor(np.zeros((batch, hidden)))
     outputs = []
     for t in range(steps):
-        h, c = _lstm_step(layer, T.index_axis0(seq, t), h, c)
+        z = T.take(xw, slice(t * batch, (t + 1) * batch)) + T.matmul(h, u) + b
+        zi, zf, zc, zo = (T.take(z, key) for key in gates)
+        c = T.sigmoid(zf) * c + T.sigmoid(zi) * T.tanh(zc)
+        h = T.sigmoid(zo) * T.tanh(c)
         outputs.append(h)
     return T.stack0(outputs)
 
@@ -115,7 +115,7 @@ def blstm_forward(fwd: LstmLayer, bwd: LstmLayer, seq: Tensor) -> Tensor:
     if fwd.hidden != bwd.hidden:
         raise ConfigError(f"blstm halves disagree on hidden size: {fwd.hidden} vs {bwd.hidden}")
     forward = lstm_forward(fwd, seq)
-    reverse = T.flip_axis0(lstm_forward(bwd, T.flip_axis0(seq)))
+    reverse = T.take(lstm_forward(bwd, T.take(seq, slice(None, None, -1))), slice(None, None, -1))
     return T.concat([forward, reverse], axis=forward.ndim - 1)
 
 

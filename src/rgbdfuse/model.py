@@ -531,11 +531,15 @@ def load_checkpoint(path) -> Model:
     """Rebuild the model a checkpoint describes; strict about names and shapes.
 
     The model is assembled without drawing initial weights, and each record is
-    read straight into its parameter or state array.
+    read straight into its parameter or state array. A config whose parameters
+    cannot fit in the rest of the file is refused before anything is allocated.
     """
     loaded = set()
     with open(path, "rb") as fh:
         cfg, _, count = _read_header(fh)
+        need, left = 8 * parameter_count(cfg), os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise CheckpointError(f"config implies {need} bytes of parameters, {left} bytes left in the checkpoint")
         model = Model._assemble(cfg, cfg.seed, draw=False)
         targets = {n: p.data for n, p in model.parameters()} | dict(model.state_arrays())
 

@@ -337,7 +337,12 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 def stack0(tensors: Sequence[Tensor]) -> Tensor:
     """Stack equal-shaped tensors along a new leading axis."""
-    return concat([reshape(t, (1,) + t.shape) for t in tensors], axis=0)
+
+    def bwd(g):
+        for t, gt in zip(tensors, g):
+            t._accum(gt)
+
+    return _node(np.stack([t.data for t in tensors]), tensors, bwd)
 
 
 def add_batch_axis(x: Tensor, axis: int = 0) -> Tensor:
@@ -350,19 +355,13 @@ def drop_batch_axis(x: Tensor, axis: int = 0) -> Tensor:
     return reshape(x, x.shape[:axis] + x.shape[axis + 1 :])
 
 
-def index_axis0(x: Tensor, i: int) -> Tensor:
+def take(x: Tensor, key) -> Tensor:
+    """Basic indexing ``x.data[key]`` (an int, a slice or a tuple of them); backward adds into the entries picked."""
+
     def bwd(g):
-        if x.requires_grad:
-            x._grad_buffer()[i] += g
+        x._grad_buffer()[key] += g
 
-    return _node(x.data[i], (x,), bwd)
-
-
-def flip_axis0(x: Tensor) -> Tensor:
-    def bwd(g):
-        x._accum(g[::-1])
-
-    return _node(np.ascontiguousarray(x.data[::-1]), (x,), bwd)
+    return _node(x.data[key], (x,), bwd)
 
 
 # -- linear algebra and convolution ---------------------------------------

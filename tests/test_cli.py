@@ -11,6 +11,7 @@ from rgbdfuse.data import load_manifest
 from rgbdfuse.errors import UsageError
 from rgbdfuse.model import ModelConfig, build_model, config_to_text, save_checkpoint
 from rgbdfuse.preprocess import DepthImage, depth_clip_normalize
+from tests.test_model import write_header_only_checkpoint
 
 MICRO_CFG = ModelConfig(
     input_size=16,
@@ -190,6 +191,13 @@ def test_diverging_training_is_a_clean_exit(tmp_path, synth_dir, capsys):
     code = main(["train", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path), "--out", str(run_dir)])
     _assert_clean_exit(code, capsys, "non-finite")
     assert (run_dir / "summary.csv").is_file()
+
+
+def test_checkpoint_config_of_an_impossible_model_is_a_clean_exit(tmp_path, synth_dir, capsys):
+    path = tmp_path / "best.ckpt"
+    write_header_only_checkpoint(path, dataclasses.replace(MICRO_CFG, classifier_widths=(4611686018427387904,)))
+    code = main(["eval", "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")])
+    _assert_clean_exit(code, capsys, "bytes of parameters")
 
 
 def test_checkpoint_of_another_input_size_is_a_clean_exit(tmp_path, synth_dir, capsys):

@@ -75,6 +75,26 @@ def test_lstm_single_step_matches_hand_cell():
     assert np.allclose(out.data[0], h, atol=1e-14)
 
 
+def test_lstm_multi_step_matches_per_gate_reference():
+    rng = np.random.default_rng(26)
+    layer = L.LstmLayer.init(3, 4, rng)
+    seq = rng.standard_normal((3, 2, 3))
+    w, u, b = ({g: d[g].data for g in "ifco"} for d in (layer.w, layer.u, layer.b))
+    h, c = np.zeros((2, 4)), np.zeros((2, 4))
+    expect = []
+    for x in seq:
+        gi = sigmoid(x @ w["i"] + h @ u["i"] + b["i"])
+        gf = sigmoid(x @ w["f"] + h @ u["f"] + b["f"])
+        gc = np.tanh(x @ w["c"] + h @ u["c"] + b["c"])
+        go = sigmoid(x @ w["o"] + h @ u["o"] + b["o"])
+        c = gf * c + gi * gc
+        h = go * np.tanh(c)
+        expect.append(h)
+    out = L.lstm_forward(layer, T.Tensor(seq))
+    assert out.shape == (3, 2, 4)
+    assert np.allclose(out.data, np.stack(expect), atol=1e-14)
+
+
 def test_lstm_gradients():
     rng = np.random.default_rng(6)
     layer = L.LstmLayer.init(3, 4, rng)

@@ -1,5 +1,7 @@
 """Model assembly, forward determinism, parameter arithmetic, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,18 @@ def test_parameter_count_oracle_matches_build(overrides):
     model = M.build_model(cfg)
     built = sum(p.size for _, p in model.parameters())
     assert built == M.parameter_count(cfg), overrides
+
+
+def test_dense_only_ignores_transposed_sequence():
+    cfg = tiny_cfg(fm_variant="dense_only", transposed_sequence=True)
+    model = M.build_model(cfg)
+    assert sum(p.size for _, p in model.parameters()) == M.parameter_count(cfg)
+    rgb, depth = tiny_batch(cfg)
+    stages = model.forward_features(rgb, depth)
+    assert stages["fm_weights"].shape == (2, cfg.fused_channels)
+    assert stages["logits"].shape == (2, cfg.classes)
+    plain = M.build_model(tiny_cfg(fm_variant="dense_only")).forward_features(rgb, depth)
+    assert np.array_equal(stages["logits"].data, plain["logits"].data)
 
 
 def test_shared_backbone_halves_backbone_params():
@@ -337,6 +351,21 @@ def test_checkpoint_overflowing_tensor_header_is_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError, match="bytes"):
         M.read_checkpoint(path)
     with pytest.raises(CheckpointError, match="bytes"):
+        M.load_checkpoint(path)
+
+
+def write_header_only_checkpoint(path, cfg):
+    """An FCKP file with ``cfg``'s text and no records."""
+    text = M.config_to_text(cfg).encode("utf-8")
+    head = M.CHECKPOINT_MAGIC + struct.pack("<II", M.CHECKPOINT_VERSION, len(text))
+    path.write_bytes(head + text + struct.pack("<QI", 0, 0))
+
+
+@pytest.mark.parametrize("overrides", [{"classifier_widths": (4611686018427387904,)}, {"input_size": 112}])
+def test_checkpoint_config_larger_than_file_is_refused_before_assembly(tmp_path, overrides):
+    path = tmp_path / "model.ckpt"
+    write_header_only_checkpoint(path, tiny_cfg(**overrides))
+    with pytest.raises(CheckpointError, match="bytes of parameters"):
         M.load_checkpoint(path)
 
 

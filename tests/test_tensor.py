@@ -519,7 +519,7 @@ def test_reshape_transpose_concat_grads():
 
 def test_index_and_flip_axis0():
     x = T.parameter(np.arange(12.0).reshape(3, 4), "x")
-    row = T.index_axis0(x, 1)
+    row = T.take(x, 1)
     assert np.array_equal(row.data, x.data[1])
     T.backward(T.tsum(row), [x])
     expect = np.zeros((3, 4))
@@ -527,7 +527,7 @@ def test_index_and_flip_axis0():
     assert np.array_equal(x.grad, expect)
 
     y = T.parameter(np.arange(6.0).reshape(3, 2), "y")
-    flipped = T.flip_axis0(y)
+    flipped = T.take(y, slice(None, None, -1))
     assert np.array_equal(flipped.data, y.data[::-1])
     g = np.random.default_rng(25).random((3, 2))
     T.backward(T.tsum(flipped * T.Tensor(g)), [y])
