@@ -187,7 +187,7 @@ def spatial_attention(att: SpatialAttention, f: Tensor):
     else:
         pooled = T.channel_concat(T.channel_pool(f, "avg"), T.channel_pool(f, "max"))  # [B,M,M,2]
         if att.variant == "conv":
-            theta = T.conv2d(pooled, att.kernels, att.bias, padding="valid", stride=1)
+            theta = T.conv2d(pooled, att.kernels, att.bias)
             weights = T.reshape(T.sigmoid(theta), (b, m, m))
         else:
             flat = T.reshape(pooled, (b, 2 * m * m))

@@ -166,7 +166,9 @@ def cmd_embed(args) -> int:
                 if weights_fh is not None:
                     stages = model.forward_features(batch.rgb, batch.depth)
                     write_weights_csv(weights_fh, batch.sample_ids, stages["fm_weights"])
-                emb = model.extract_embedding(batch.rgb, batch.depth).data
+                    emb = stages["embedding"].data
+                else:
+                    emb = model.extract_embedding(batch.rgb, batch.depth).data
                 for sid, label, row in zip(batch.sample_ids, batch.labels, emb):
                     fh.write(f"{sid},{label}," + ",".join(f"{v:.17g}" for v in row) + "\n")
     finally:

@@ -122,13 +122,14 @@ def blstm_forward(fwd: LstmLayer, bwd: LstmLayer, seq: Tensor) -> Tensor:
 class BatchNorm:
     """Per-feature normalization over the batch axis of [B x C] activations."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    MOMENTUM = 0.1  # weight of the batch statistics in the running ones
+    EPS = 1e-5
+
+    def __init__(self, channels: int):
         self.scale = T.parameter(np.ones(channels))
         self.shift = T.parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
         self.channels = channels
 
     def parameters(self):
@@ -146,13 +147,13 @@ class BatchNorm:
             mu = T.tmean(x, axis=0)
             centered = x - mu
             var = T.tmean(centered * centered, axis=0)
-            normed = centered / T.sqrt(var + Tensor(self.eps))
-            m = self.momentum
+            normed = centered / T.sqrt(var + Tensor(self.EPS))
+            m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mu.data
             self.running_var = (1 - m) * self.running_var + m * var.data
             return normed * self.scale + self.shift
         if mode == "eval":
-            denom = Tensor(np.sqrt(self.running_var + self.eps))
+            denom = Tensor(np.sqrt(self.running_var + self.EPS))
             return (x - Tensor(self.running_mean)) / denom * self.scale + self.shift
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
 
@@ -204,10 +205,6 @@ class ConvBackbone:
             cin = w
         return cls(kernels, biases, widths)
 
-    @property
-    def out_channels(self) -> int:
-        return self.widths[-1]
-
     def out_extent(self, in_extent: int) -> int:
         if in_extent % (2 ** len(self.widths)):
             raise ConfigError(f"input extent {in_extent} not divisible by {2 ** len(self.widths)}")
@@ -222,5 +219,5 @@ class ConvBackbone:
     def forward(self, x: Tensor) -> Tensor:
         for k, b in zip(self.kernels, self.biases):
             # relu after the pool: both are monotone, so values and gradients are the same on 4x less data
-            x = T.relu(T.maxpool2x2(T.conv2d(x, k, b, padding="same", stride=1)))
+            x = T.relu(T.maxpool2x2(T.conv2d(x, k, b)))
         return x

@@ -45,7 +45,6 @@ CHECKPOINT_VERSION = 1
 class ModelConfig:
     input_size: int = 112
     backbone_widths: tuple = (8, 16, 32, 32)
-    share_backbones: bool = False
     modality: str = "rgbd"
     fusion: str = "two_level"
     fm_variant: str = "lstm_dense"
@@ -57,14 +56,12 @@ class ModelConfig:
     transposed_sequence: bool = False
     attention_bypass: bool = False
     classifier_widths: tuple = (2048, 1024, 512)
-    classifier_input: str = "flatten"
     classes: int = 10
     dropout: float = 0.5
     seed: int = 0
     batch_size: int = 20
     learning_rate: float = 1e-3
     lr_decay: float = 0.9
-    decay_per_step: bool = False
     epochs: int = 50
     protocol: str = "fixed"
     fold: int = 0
@@ -82,8 +79,6 @@ class ModelConfig:
             raise ConfigError(f"fm_variant must be one of {FM_VARIANTS}, got {self.fm_variant!r}")
         if self.spatial_variant not in SPATIAL_VARIANTS:
             raise ConfigError(f"spatial_variant must be one of {SPATIAL_VARIANTS}")
-        if self.classifier_input not in ("flatten", "pool"):
-            raise ConfigError(f"classifier_input must be 'flatten' or 'pool', got {self.classifier_input!r}")
         if not self.backbone_widths or any(w < 1 for w in self.backbone_widths):
             raise ConfigError(f"backbone widths must be positive, got {self.backbone_widths}")
         if any(w < 1 for w in self.classifier_widths):
@@ -117,10 +112,7 @@ class ModelConfig:
 
     @property
     def classifier_in(self) -> int:
-        per_position = self.fused_channels
-        if self.classifier_input == "pool":
-            return per_position
-        return self.feature_extent * self.feature_extent * per_position
+        return self.feature_extent * self.feature_extent * self.fused_channels
 
 
 def config_to_text(cfg: ModelConfig) -> str:
@@ -135,18 +127,29 @@ def config_to_text(cfg: ModelConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Keys of removed fields, each with the one value every file written while it existed holds.
+RETIRED_KEYS = {"share_backbones": "false", "classifier_input": "flatten", "decay_per_step": "false"}
+
+
 def config_from_text(text: str) -> ModelConfig:
+    """Parse ``key=value`` lines; everything from a ``#`` to the end of its line is a comment."""
     fields = {f.name: f for f in dataclasses.fields(ModelConfig)}
     defaults = ModelConfig()
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno} is not key=value: {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in RETIRED_KEYS:
+            if value != RETIRED_KEYS[key]:
+                raise ConfigError(
+                    f"config key {key!r} on line {lineno} is retired; it is read only as {RETIRED_KEYS[key]!r}, got {value!r}"
+                )
+            continue
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
         current = getattr(defaults, key)
@@ -233,10 +236,7 @@ class Model:
         if cfg.modality in ("rgbd", "rgb"):
             model.backbone_rgb = ConvBackbone.init(3, cfg.backbone_widths, rngs[0])
         if cfg.modality in ("rgbd", "depth"):
-            if cfg.share_backbones and model.backbone_rgb is not None:
-                model.backbone_depth = model.backbone_rgb
-            else:
-                model.backbone_depth = ConvBackbone.init(3, cfg.backbone_widths, rngs[1])
+            model.backbone_depth = ConvBackbone.init(3, cfg.backbone_widths, rngs[1])
 
         if cfg.modality == "rgbd":
             m, c = cfg.feature_extent, cfg.fused_channels
@@ -267,13 +267,10 @@ class Model:
 
     def _components(self):
         out = []
-        if self.cfg.share_backbones and self.cfg.modality == "rgbd":
-            out.append(("backbone", self.backbone_rgb))
-        else:
-            if self.backbone_rgb is not None:
-                out.append(("backbone_rgb", self.backbone_rgb))
-            if self.backbone_depth is not None:
-                out.append(("backbone_depth", self.backbone_depth))
+        if self.backbone_rgb is not None:
+            out.append(("backbone_rgb", self.backbone_rgb))
+        if self.backbone_depth is not None:
+            out.append(("backbone_depth", self.backbone_depth))
         if self.fm_attention is not None:
             out.append(("fm_attention", self.fm_attention))
         if self.spatial_attention is not None:
@@ -329,11 +326,7 @@ class Model:
 
     def _head(self, features: Tensor, mode: str):
         """Classifier stack; returns (logits, third-block activations)."""
-        b = features.shape[0]
-        if self.cfg.classifier_input == "pool":
-            x = T.tmean(features, axis=(1, 2))
-        else:
-            x = T.reshape(features, (b, int(np.prod(features.shape[1:]))))
+        x = T.reshape(features, (features.shape[0], int(np.prod(features.shape[1:]))))
         embedding = None
         for dense, bn in self.classifier:
             x = T.relu(dense_forward(dense, x))
@@ -409,7 +402,7 @@ def parameter_count(cfg: ModelConfig) -> int:
 
     total = 0
     if cfg.modality == "rgbd":
-        total += backbone() if cfg.share_backbones else 2 * backbone()
+        total += 2 * backbone()
         if cfg.fusion in ("feature_map_only", "two_level"):
             if cfg.fm_variant == "dense_only":
                 total += m2 * 1 + 1
@@ -439,10 +432,8 @@ def parameter_count(cfg: ModelConfig) -> int:
 # -- checkpoints -------------------------------------------------------------
 
 
-def _checkpoint_records(model: Model, optimizer=None, include_state=True):
-    records = list(model.parameters())
-    if include_state:
-        records += [(n, Tensor(a)) for n, a in model.state_arrays()]
+def _checkpoint_records(model: Model, optimizer=None):
+    records = list(model.parameters()) + [(n, Tensor(a)) for n, a in model.state_arrays()]
     if optimizer is not None:
         records.append(("adam.t", Tensor(float(optimizer.t))))
         for name, m in optimizer.first_moments.items():

@@ -128,7 +128,6 @@ class AugmentParams:
     shear_deg: float = 0.0
     flip: bool = False
     perspective_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in AUGMENT_KINDS:

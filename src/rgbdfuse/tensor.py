@@ -230,8 +230,8 @@ def tanh(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic; output clamped to the open interval (0, 1)."""
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(x.data))
+    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     y = np.clip(y, _SIG_LO, _SIG_HI)
 
     def bwd(g):
@@ -379,18 +379,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data, (a, b), bwd)
 
 
-def _conv_geometry(extent: int, k: int, padding: str, stride: int) -> tuple[int, int, int]:
-    """Return (out_extent, pad_before, pad_after) for one spatial axis."""
-    if padding == "valid":
-        out = (extent - k) // stride + 1
-        return out, 0, 0
-    if padding == "same":
-        out = -(-extent // stride)
-        total = max((out - 1) * stride + k - extent, 0)
-        return out, total // 2, total - total // 2
-    raise ConfigError(f"padding must be 'same' or 'valid', got {padding!r}")
-
-
 # Elements per block of im2col rows in conv2d: a block lives in a scratch buffer that stays
 # in L2 cache while the GEMM reads it, instead of a cold full-size array. On the desk stages
 # at B=20, 2^16 ran the stage-0 forward fastest (2^15 took 1.4x as long); 2^14 to 2^17 were
@@ -411,12 +399,12 @@ def _conv_blocks(b: int, hout: int, wout: int, width: int) -> list[tuple[int, in
     return [(i, i + 1, r, min(r + rows, hout)) for i in range(b) for r in range(0, hout, rows)]
 
 
-def _im2col_blocks(xp: np.ndarray, kh: int, kw: int, stride: int):
+def _im2col_blocks(xp: np.ndarray, kh: int, kw: int):
     """Yield (first output position, [n x kh*kw*Cin] block of the im2col matrix) of the
     padded input ``xp`` [B x H x W x Cin], every block copied into one scratch buffer."""
     b, hp, wp, cin = xp.shape
-    hout, wout, k = (hp - kh) // stride + 1, (wp - kw) // stride + 1, kh * kw * cin
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    hout, wout, k = hp - kh + 1, wp - kw + 1, kh * kw * cin
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
     blocks = _conv_blocks(b, hout, wout, k)
     scratch = np.empty(max((i1 - i0) * (r1 - r0) for i0, i1, r0, r1 in blocks) * wout * k)
     for i0, i1, r0, r1 in blocks:
@@ -426,23 +414,24 @@ def _im2col_blocks(xp: np.ndarray, kh: int, kw: int, stride: int):
         yield (i0 * hout + r0) * wout, dst.reshape(-1, k)
 
 
-def _correlate(xp: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+def _correlate(xp: np.ndarray, w2: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Valid cross-correlation of ``xp`` [B x H x W x Cin] with ``w2`` [kh*kw*Cin x Cout],
     one GEMM per im2col block into its rows of the output."""
     b, hp, wp, _ = xp.shape
-    out = np.empty((b, (hp - kh) // stride + 1, (wp - kw) // stride + 1, w2.shape[1]))
+    out = np.empty((b, hp - kh + 1, wp - kw + 1, w2.shape[1]))
     out2 = out.reshape(-1, w2.shape[1])
-    for lo, cols in _im2col_blocks(xp, kh, kw, stride):
+    for lo, cols in _im2col_blocks(xp, kh, kw):
         np.matmul(cols, w2, out=out2[lo : lo + len(cols)])
     return out
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same", stride: int = 1) -> Tensor:
-    """2-D cross-correlation plus per-channel bias.
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Same-padded, stride-1 2-D cross-correlation plus per-channel bias.
 
     ``x`` is [B x H x W x Cin] (or one sample [H x W x Cin]); ``kernels`` is
-    [kh x kw x Cin x Cout]; ``bias`` is [Cout]. Output spatial extent is
-    floor((padded - k) / stride) + 1.
+    [kh x kw x Cin x Cout]; ``bias`` is [Cout]. The output keeps the input's
+    H x W: the input is zero-padded by (kh-1)//2 rows before and the rest of
+    kh-1 after, and likewise for the width.
 
     The im2col matrix is never built whole. Blocks of its rows are copied into
     one cache-sized scratch buffer and multiplied into their rows of the output,
@@ -450,44 +439,37 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same", stri
     graph keeps only the padded input; backward copies the blocks again.
     """
     if x.ndim == 3:
-        return drop_batch_axis(conv2d(add_batch_axis(x), kernels, bias, padding, stride))
-    if not isinstance(stride, int) or stride <= 0:
-        raise ConfigError(f"stride must be a positive integer, got {stride!r}")
+        return drop_batch_axis(conv2d(add_batch_axis(x), kernels, bias))
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be [kh x kw x Cin x Cout], got {kernels.shape}")
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 3 or 4, got {x.shape}")
     kh, kw, cin, cout = kernels.shape
-    _, h, w, cx = x.shape
-    if cx != cin:
-        raise ShapeError(f"input channels {cx} do not match kernel channels {cin}")
+    if x.shape[3] != cin:
+        raise ShapeError(f"input channels {x.shape[3]} do not match kernel channels {cin}")
     if bias.shape != (cout,):
         raise ShapeError(f"bias must be [{cout}], got {bias.shape}")
+    if 0 in x.shape or 0 in kernels.shape:
+        raise ShapeError(f"conv2d needs a nonempty input and kernels, got {x.shape} and {kernels.shape}")
 
-    hout, pt, pb = _conv_geometry(h, kh, padding, stride)
-    wout, pl, pr = _conv_geometry(w, kw, padding, stride)
-    if kh > h + pt + pb or kw > w + pl + pr or hout < 1 or wout < 1:
-        raise ConfigError(f"kernel {kh}x{kw} exceeds padded input {h + pt + pb}x{w + pl + pr}")
-
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    out = _correlate(xp, kernels.data.reshape(-1, cout), kh, kw, stride)
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x.data, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
+    out = _correlate(xp, kernels.data.reshape(-1, cout), kh, kw)
     out += bias.data
 
     def bwd(g):
         g2 = g.reshape(-1, cout)
         if kernels.requires_grad:
-            gk = sum(cols.T @ g2[lo : lo + len(cols)] for lo, cols in _im2col_blocks(xp, kh, kw, stride))
+            gk = sum(cols.T @ g2[lo : lo + len(cols)] for lo, cols in _im2col_blocks(xp, kh, kw))
             kernels._accum(gk.reshape(kernels.shape), owned=True)
         if bias.requires_grad:
             bias._accum(np.ones(len(g2)) @ g2, owned=True)  # a GEMV: faster than the row-by-row g2.sum(axis=0)
         if x.requires_grad:
-            # the input gradient is a stride-1 correlation of g, spread out by the stride and
-            # zero-padded by the kernel extent, with the kernel flipped and its channel axes swapped
-            gp = np.zeros((g.shape[0], xp.shape[1] + kh - 1, xp.shape[2] + kw - 1, cout))
-            gp[:, kh - 1 :: stride, kw - 1 :: stride][:, :hout, :wout] = g
+            # the input gradient is the same-padded correlation of g with the kernel flipped
+            # and its channel axes swapped, so the padding before and after trade places
+            gp = np.pad(g, ((0, 0), (kh - 1 - pt, pt), (kw - 1 - pl, pl), (0, 0)))
             flipped = kernels.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin)
-            gx = _correlate(gp[:, pt : pt + h + kh - 1, pl : pl + w + kw - 1], flipped, kh, kw, 1)
-            x._accum(gx, owned=True)
+            x._accum(_correlate(gp, flipped, kh, kw), owned=True)
 
     return _node(out, (x, kernels, bias), bwd)
 

@@ -56,19 +56,17 @@ class Adam:
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params, lr, decay=1.0, decay_per_step=False):
+    def __init__(self, params, lr, decay=1.0):
         self.params = list(params)  # (name, Tensor)
         self.lr = lr
         self.decay = decay
-        self.decay_per_step = decay_per_step
         self.t = 0
         self.epoch = 0  # completed epochs, set by the training loop
         self.first_moments = {n: np.zeros(p.shape) for n, p in self.params}
         self.second_moments = {n: np.zeros(p.shape) for n, p in self.params}
 
     def effective_lr(self) -> float:
-        exponent = self.t if self.decay_per_step else self.epoch
-        return self.lr * self.decay**exponent
+        return self.lr * self.decay**self.epoch
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -240,21 +238,38 @@ def _restore(model: Model, snapshot) -> None:
         a[...] = snapshot[n]
 
 
+def _train_step(model: Model, optimizer: Adam, batch) -> tuple[float, int]:
+    """One forward, backward and Adam update; returns (loss, correct predictions).
+
+    A non-finite loss or gradient raises TrainingError before any parameter changes.
+    The step's graph dies on return, so it is not held through the next step or the
+    end-of-run writes.
+    """
+    logits = model.forward(batch.rgb, batch.depth, "train")
+    loss = T.cross_entropy(logits, batch.labels)
+    if not np.isfinite(loss.item()):
+        raise TrainingError("loss became non-finite")
+    optimizer.zero_grad()
+    T.backward(loss, [p for _, p in optimizer.params])
+    optimizer.step()
+    return loss.item(), int((logits.data.argmax(axis=1) == batch.labels).sum())
+
+
 def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = None, seed: int | None = None, out_dir=None):
     """Adam training with per-epoch evaluation and best-checkpoint retention.
 
+    The best parameters are kept in memory and restored at the end; with
+    ``out_dir`` they are then written once, as ``best.ckpt``, beside the reports.
     Returns (RunReport, checkpoint path or None). On divergence (a non-finite
     loss or gradient) the run stops, the best parameters are restored, the
-    reports are written, and TrainingError is raised.
+    checkpoint and reports are written, and TrainingError is raised.
     """
     cfg = cfg or model.cfg
     seed = cfg.seed if seed is None else seed
     protocol = f"fivefold:{cfg.fold}" if cfg.protocol == "fivefold" else cfg.protocol
     train_records, test_records = protocol_split(manifest, protocol)
 
-    optimizer = Adam(
-        model.parameters(), cfg.learning_rate, cfg.lr_decay, decay_per_step=cfg.decay_per_step
-    )
+    optimizer = Adam(model.parameters(), cfg.learning_rate, cfg.lr_decay)
     out_dir = Path(out_dir) if out_dir is not None else None
     ckpt_path = out_dir / "best.ckpt" if out_dir else None
     if out_dir:
@@ -266,11 +281,9 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
     def record_best(acc, epoch):
         nonlocal best
         if best is None or acc > best[0]:
-            best = (acc, epoch, _snapshot(model))
+            best = (acc, _snapshot(model))
             report.best_epoch = epoch
             report.best_test_acc = acc
-            if ckpt_path:
-                save_checkpoint(model, ckpt_path, epoch=epoch)
 
     best = None
     acc0, _ = evaluate(model, test_records, cfg.batch_size)
@@ -286,22 +299,14 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
         for batch in make_batches(train_records, cfg.batch_size, seed=_epoch_seed(seed, epoch)):
             if batch.labels.size < 2:
                 continue  # batchnorm train mode needs at least 2 samples
-            logits = model.forward(batch.rgb, batch.depth, "train")
-            loss = T.cross_entropy(logits, batch.labels)
-            if not np.isfinite(loss.item()):
-                failure = "loss became non-finite"
-                break
-            optimizer.zero_grad()
-            T.backward(loss, [p for _, p in optimizer.params])
             try:
-                optimizer.step()
+                batch_loss, batch_hits = _train_step(model, optimizer, batch)
             except TrainingError as exc:
                 failure = str(exc)
                 break
-            b = batch.labels.size
-            loss_sum += loss.item() * b
-            hits += int((logits.data.argmax(axis=1) == batch.labels).sum())
-            seen += b
+            loss_sum += batch_loss * batch.labels.size
+            hits += batch_hits
+            seen += batch.labels.size
         if failure:
             report.aborted = True
             break
@@ -311,13 +316,14 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
         )
         record_best(test_acc, epoch)
 
-    _restore(model, best[2])
+    _restore(model, best[1])
     stats = attention_weight_means(model, test_records, cfg.batch_size)
     if stats is not None:
         report.fm_weight_rgb_mean, report.fm_weight_depth_mean = stats
     report.wall_time_s = time.perf_counter() - started
 
     if out_dir:
+        save_checkpoint(model, ckpt_path, epoch=report.best_epoch)
         report.write_csv(out_dir / "report.csv")
         report.write_summary_csv(out_dir / "summary.csv")
         save_config(out_dir / "config.txt", cfg)

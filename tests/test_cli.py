@@ -11,7 +11,7 @@ from rgbdfuse.data import load_manifest
 from rgbdfuse.errors import UsageError
 from rgbdfuse.model import ModelConfig, build_model, config_to_text, save_checkpoint
 from rgbdfuse.preprocess import DepthImage, depth_clip_normalize
-from tests.test_model import write_header_only_checkpoint
+from tests.test_model import old_config_text, with_config_text, write_header_only_checkpoint
 
 MICRO_CFG = ModelConfig(
     input_size=16,
@@ -120,6 +120,40 @@ def test_train_eval_embed_round_trip(tmp_path, synth_dir):
     assert all(0.0 < v < 1.0 for v in values)
 
 
+def test_embed_with_attention_out_runs_one_forward_per_batch(tmp_path, synth_dir, monkeypatch):
+    from rgbdfuse.model import Model
+
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(MICRO_CFG), ckpt)
+    args = ["embed", "--checkpoint", str(ckpt), "--manifest", str(synth_dir / "manifest.csv")]
+    assert main(args + ["--out", str(tmp_path / "plain.csv")]) == 0  # extract_embedding per batch
+
+    fused = {"n": 0}
+    real_fuse = Model._fuse
+
+    def counted_fuse(self, rgb, depth):
+        fused["n"] += 1
+        return real_fuse(self, rgb, depth)
+
+    monkeypatch.setattr(Model, "_fuse", counted_fuse)
+    att_path = tmp_path / "attention.csv"
+    assert main(args + ["--out", str(tmp_path / "emb.csv"), "--attention-out", str(att_path)]) == 0
+    assert fused["n"] == -(-18 // MICRO_CFG.batch_size)
+    assert (tmp_path / "emb.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    # the weights are the feature-map weights of the same forward, as before
+    from rgbdfuse.attention import write_weights_csv
+    from rgbdfuse.data import make_batches
+    from rgbdfuse.model import load_checkpoint
+
+    model = load_checkpoint(ckpt)
+    with open(tmp_path / "expected.csv", "w", encoding="utf-8") as fh:
+        fh.write("sample_id,weight_index,value\n")
+        for batch in make_batches(load_manifest(synth_dir / "manifest.csv").records, MICRO_CFG.batch_size, seed=0):
+            write_weights_csv(fh, batch.sample_ids, model.forward_features(batch.rgb, batch.depth)["fm_weights"])
+    assert att_path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 def test_train_class_count_mismatch(tmp_path, synth_dir):
     import dataclasses
 
@@ -225,3 +259,11 @@ def test_non_utf8_checkpoint_is_a_clean_exit(tmp_path, synth_dir, capsys):
     path.write_bytes(bytes(raw))
     code = main(["eval", "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")])
     _assert_clean_exit(code, capsys, "not UTF-8")
+
+
+def test_checkpoint_with_a_retired_key_set_is_a_clean_exit(tmp_path, synth_dir, capsys):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(build_model(MICRO_CFG), path)
+    with_config_text(path, old_config_text(MICRO_CFG, share_backbones="true"))
+    code = main(["eval", "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")])
+    _assert_clean_exit(code, capsys, "retired")

@@ -207,11 +207,12 @@ def test_batchnorm_gradients_train_mode():
 
 
 def test_batchnorm_running_stats_update():
-    bn = L.BatchNorm(2, momentum=0.5)
+    assert L.BatchNorm.MOMENTUM == 0.1
+    bn = L.BatchNorm(2)
     x = np.array([[2.0, 0.0], [4.0, 0.0]])
     L.batchnorm_forward(bn, T.Tensor(x), "train")
-    assert np.allclose(bn.running_mean, [1.5, 0.0])
-    assert np.allclose(bn.running_var, [1.0, 0.5])
+    assert np.allclose(bn.running_mean, [0.3, 0.0])
+    assert np.allclose(bn.running_var, [1.0, 0.9])
 
 
 # -- dropout -------------------------------------------------------------------------

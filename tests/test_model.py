@@ -1,6 +1,8 @@
 """Model assembly, forward determinism, parameter arithmetic, checkpoints."""
 
+import dataclasses
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +37,54 @@ def tiny_batch(cfg, b=2, seed=0):
 
 
 def test_config_text_round_trip():
-    cfg = tiny_cfg(fusion="spatial_only", dropout=0.25, share_backbones=True)
+    cfg = tiny_cfg(fusion="spatial_only", dropout=0.25, blstm=True)
     back = M.config_from_text(M.config_to_text(cfg))
     assert back == cfg
+
+
+def old_config_text(cfg, share_backbones="false", classifier_input="flatten", decay_per_step="false"):
+    """``cfg``'s text as written before the three retired keys were removed, each at its old place."""
+    after = {
+        "backbone_widths": f"share_backbones={share_backbones}",
+        "classifier_widths": f"classifier_input={classifier_input}",
+        "lr_decay": f"decay_per_step={decay_per_step}",
+    }
+    lines = []
+    for line in M.config_to_text(cfg).splitlines():
+        lines.append(line)
+        if line.partition("=")[0] in after:
+            lines.append(after[line.partition("=")[0]])
+    return "\n".join(lines) + "\n"
+
+
+def test_config_with_retired_keys_at_their_old_values_parses():
+    cfg = tiny_cfg(fusion="spatial_only")
+    assert M.config_from_text(old_config_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "retired", [{"share_backbones": "true"}, {"classifier_input": "pool"}, {"decay_per_step": "true"}]
+)
+def test_config_with_a_retired_key_at_another_value_is_config_error(tmp_path, retired):
+    path = tmp_path / "config.txt"
+    path.write_text(old_config_text(tiny_cfg(), **retired))
+    key = next(iter(retired))
+    with pytest.raises(ConfigError, match=f"{key}.*retired"):
+        M.load_config(path)
+
+
+def test_config_comments_run_to_the_end_of_the_line():
+    text = "# a whole-line comment\nclasses=3   # a trailing comment\nfusion=concat_only#no space\n"
+    assert M.config_from_text(text) == M.ModelConfig(classes=3, fusion="concat_only")
+
+
+def test_readme_config_block_parses_to_the_defaults_and_names_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Config files") :]
+    block = section.split("```")[1]
+    assert M.config_from_text(block) == M.ModelConfig()
+    named = {line.partition("#")[0].partition("=")[0].strip() for line in block.splitlines()} - {""}
+    assert named == {f.name for f in dataclasses.fields(M.ModelConfig)}
 
 
 def test_config_validation_errors():
@@ -99,10 +146,10 @@ def test_build_desk_scale_concat_shape():
         {"lstm_layers": 3},
         {"blstm": True},
         {"transposed_sequence": True},
-        {"share_backbones": True},
+        {"transposed_sequence": True, "lstm_layers": 2},
         {"modality": "rgb"},
         {"modality": "depth"},
-        {"classifier_input": "pool"},
+        {"fusion": "spatial_only", "spatial_variant": "dense"},
     ],
 )
 def test_parameter_count_oracle_matches_build(overrides):
@@ -122,13 +169,6 @@ def test_dense_only_ignores_transposed_sequence():
     assert stages["logits"].shape == (2, cfg.classes)
     plain = M.build_model(tiny_cfg(fm_variant="dense_only")).forward_features(rgb, depth)
     assert np.array_equal(stages["logits"].data, plain["logits"].data)
-
-
-def test_shared_backbone_halves_backbone_params():
-    shared = M.parameter_count(tiny_cfg(share_backbones=True))
-    split = M.parameter_count(tiny_cfg())
-    per_backbone = sum(9 * cin * w + w for cin, w in zip((3, 2), (2, 3)))
-    assert split - shared == per_backbone
 
 
 # -- forward ----------------------------------------------------------------------
@@ -246,6 +286,27 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     cfg_back, epoch, _ = M.read_checkpoint(path)
     assert epoch == 4
     assert cfg_back == cfg
+
+
+def with_config_text(path, text):
+    """Rewrite the FCKP file at ``path`` with ``text`` in place of its config text."""
+    raw = path.read_bytes()
+    clen = struct.unpack("<I", raw[8:12])[0]
+    body = text.encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(body)) + body + raw[12 + clen :])
+
+
+def test_checkpoint_with_retired_config_keys_loads(tmp_path):
+    cfg = tiny_cfg()
+    model = M.build_model(cfg)
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(model, path)
+    with_config_text(path, old_config_text(cfg))
+    assert b"share_backbones=false" in path.read_bytes()
+    rgb, depth = tiny_batch(cfg)
+    restored = M.load_checkpoint(path)
+    assert restored.cfg == cfg
+    assert np.array_equal(restored.forward(rgb, depth).data, model.forward(rgb, depth).data)
 
 
 def test_loaded_model_draws_the_same_dropout_masks_as_a_built_one(tmp_path):

@@ -72,32 +72,24 @@ def test_conv2d_selector_kernel_copies_channel():
     rng = np.random.default_rng(1)
     x = T.Tensor(rng.random((4, 4, 2)))
     k = T.Tensor(np.array([1.0, 0.0]).reshape(1, 1, 2, 1))
-    out = T.conv2d(x, k, T.Tensor(np.zeros(1)), padding="valid", stride=1)
+    out = T.conv2d(x, k, T.Tensor(np.zeros(1)))
     assert np.array_equal(out.data[..., 0], x.data[..., 0])
 
 
 def test_conv2d_all_ones_sum():
+    # same padding: the interior sees all 9 taps, an edge 6 and a corner 4
     x = T.Tensor(np.ones((3, 3, 1)))
     k = T.Tensor(np.ones((3, 3, 1, 1)))
-    out = T.conv2d(x, k, T.Tensor(np.zeros(1)), padding="valid", stride=1)
-    assert out.data.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == 9.0
+    out = T.conv2d(x, k, T.Tensor(np.zeros(1)))
+    assert out.data.shape == (3, 3, 1)
+    assert out.data[1, 1, 0] == 9.0
+    assert np.array_equal(out.data[..., 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
 
 
-def test_conv2d_same_padding_shape_and_stride():
-    x = T.Tensor(np.random.default_rng(2).random((5, 5, 2)))
-    k = T.Tensor(np.random.default_rng(3).random((3, 3, 2, 4)))
-    out = T.conv2d(x, k, T.Tensor(np.zeros(4)), padding="same", stride=2)
-    assert out.shape == (3, 3, 4)
-
-
-def test_conv2d_config_errors():
-    x = T.Tensor(np.zeros((3, 3, 1)))
-    k = T.Tensor(np.zeros((5, 5, 1, 1)))
-    with pytest.raises(ConfigError):
-        T.conv2d(x, k, T.Tensor(np.zeros(1)), padding="valid", stride=1)
-    with pytest.raises(ConfigError):
-        T.conv2d(x, T.Tensor(np.zeros((2, 2, 1, 1))), T.Tensor(np.zeros(1)), padding="valid", stride=0)
+@pytest.mark.parametrize("x_shape,k_shape", [((2, 0, 3, 1), (3, 3, 1, 2)), ((0, 3, 3, 1), (1, 1, 1, 2))])
+def test_conv2d_empty_input_is_shape_error(x_shape, k_shape):
+    with pytest.raises(ShapeError):
+        T.conv2d(T.Tensor(np.zeros(x_shape)), T.Tensor(np.zeros(k_shape)), T.Tensor(np.zeros(k_shape[-1])))
 
 
 def test_conv2d_gradients():
@@ -106,7 +98,7 @@ def test_conv2d_gradients():
     k = T.parameter(rng.standard_normal((3, 3, 2, 4)), "k")
     b = T.parameter(rng.standard_normal(4), "b")
     w = T.Tensor(rng.standard_normal((5, 5, 4)))
-    check_grad(lambda: T.tsum(T.conv2d(x, k, b, "same", 1) * w), [x, k, b], 1e-5)
+    check_grad(lambda: T.tsum(T.conv2d(x, k, b) * w), [x, k, b], 1e-5)
 
 
 def test_conv2d_batched_matches_per_sample():
@@ -114,77 +106,74 @@ def test_conv2d_batched_matches_per_sample():
     xs = rng.standard_normal((3, 6, 6, 2))
     k = T.Tensor(rng.standard_normal((3, 3, 2, 4)))
     b = T.Tensor(rng.standard_normal(4))
-    batched = T.conv2d(T.Tensor(xs), k, b, "same", 2)
+    batched = T.conv2d(T.Tensor(xs), k, b)
     for i in range(3):
-        single = T.conv2d(T.Tensor(xs[i]), k, b, "same", 2)
+        single = T.conv2d(T.Tensor(xs[i]), k, b)
         assert np.array_equal(batched.data[i], single.data)
 
 
-def test_conv2d_strided_gradients():
-    rng = np.random.default_rng(6)
-    x = T.parameter(rng.standard_normal((7, 7, 2)), "x")
-    k = T.parameter(rng.standard_normal((3, 3, 2, 3)), "k")
-    b = T.parameter(rng.standard_normal(3), "b")
-    w = T.Tensor(rng.standard_normal((4, 4, 3)))
-    check_grad(lambda: T.tsum(T.conv2d(x, k, b, "same", 2) * w), [x, k, b], 1e-5)
+def one_shot_conv(x, k, b, padding):
+    """Reference forward: the whole im2col matrix at once, then one tensordot.
 
-
-def one_shot_conv(x, k, b, padding, stride):
-    """Reference forward: the whole im2col matrix at once, then one tensordot."""
+    ``padding`` "same" pads (k-1)//2 before and the rest of k-1 after; "valid" pads nothing.
+    """
     x4 = x if x.ndim == 4 else x[None]
     kh, kw = k.shape[:2]
-    hout, pt, pb = T._conv_geometry(x4.shape[1], kh, padding, stride)
-    wout, pl, pr = T._conv_geometry(x4.shape[2], kw, padding, stride)
-    xp = np.pad(x4, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    if padding == "same":
+        pt, pl = (kh - 1) // 2, (kw - 1) // 2
+        x4 = np.pad(x4, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
+    win = sliding_window_view(x4, (kh, kw), axis=(1, 2))
     cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
     out = np.tensordot(cols, k, axes=([3, 4, 5], [0, 1, 2])) + b
     return out if x.ndim == 4 else out[0]
 
 
-# (input shape, kernel extent, padding, stride). Every case has more im2col elements
-# than one block; Cout is 8 as in the desk backbone's first stage. Equality holds where
+# (input shape, kernel extent, reference padding). Every case has more im2col elements
+# than one block; Cout is 8 as in the desk backbone's first stage. A "valid" case checks
+# the interior of the same-padded output, where no tap reads padding. Equality holds where
 # the BLAS gives a row the same dot product whatever the row count of the GEMM call.
 SPANNING_CASES = {
-    "image_larger_than_a_block": ((2, 40, 40, 8), 3, "same", 1),
-    "several_images_per_block": ((30, 10, 10, 3), 3, "same", 1),
-    "stride_2": ((3, 50, 50, 4), 3, "same", 2),
-    "valid_padding": ((2, 60, 60, 3), 3, "valid", 1),
-    "unbatched": ((70, 70, 4), 3, "same", 1),
+    "image_larger_than_a_block": ((2, 40, 40, 8), 3, "same"),
+    "several_images_per_block": ((30, 10, 10, 3), 3, "same"),
+    "kernel_1": ((3, 80, 80, 4), 1, "same"),
+    "valid_padding": ((2, 60, 60, 3), 5, "valid"),
+    "unbatched": ((70, 70, 4), 3, "same"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SPANNING_CASES))
 def test_conv2d_blocked_forward_is_bit_identical_to_one_shot_im2col(case):
-    shape, kk, padding, stride = SPANNING_CASES[case]
+    shape, kk, padding = SPANNING_CASES[case]
     rng = np.random.default_rng(40)
     x = rng.standard_normal(shape)
     k = rng.standard_normal((kk, kk, shape[-1], 8))
     b = rng.standard_normal(8)
-    expected = one_shot_conv(x, k, b, padding, stride)
+    expected = one_shot_conv(x, k, b, padding)
     positions = int(np.prod(expected.shape[:-1]))
     per_image = positions // (shape[0] if len(shape) == 4 else 1)
     assert positions * kk * kk * shape[-1] > T.CONV_BLOCK
     if case == "several_images_per_block":
         assert 2 * per_image * kk * kk * shape[-1] <= T.CONV_BLOCK
-    out = T.conv2d(T.Tensor(x), T.Tensor(k), T.Tensor(b), padding, stride)
-    assert np.array_equal(out.data, expected)
+    out = T.conv2d(T.Tensor(x), T.Tensor(k), T.Tensor(b)).data
+    if padding == "valid":
+        edge = (kk - 1) // 2
+        out = out[..., edge : out.shape[-3] - edge, edge : out.shape[-2] - edge, :]
+    assert np.array_equal(out, expected)
 
 
-@pytest.mark.parametrize("padding,stride", [("same", 1), ("valid", 2)])
-def test_conv2d_gradients_across_blocks(monkeypatch, padding, stride):
+@pytest.mark.parametrize("kk", [1, 3, 5])
+def test_conv2d_gradients_across_blocks(monkeypatch, kk):
     # a small block makes a small input span many blocks, both in the forward's im2col and
     # in the input gradient's correlation of g with the flipped kernels
     monkeypatch.setattr(T, "CONV_BLOCK", 64)
     rng = np.random.default_rng(41)
     x = T.parameter(rng.standard_normal((2, 11, 11, 3)), "x")
-    k = T.parameter(rng.standard_normal((3, 3, 3, 4)), "k")
+    k = T.parameter(rng.standard_normal((kk, kk, 3, 4)), "k")
     b = T.parameter(rng.standard_normal(4), "b")
-    out_shape = T.conv2d(x, k, b, padding, stride).shape
-    assert len(T._conv_blocks(2, out_shape[1], out_shape[2], 3 * 3 * 3)) >= 3
-    assert len(T._conv_blocks(2, 11, 11, 3 * 3 * 4)) >= 3
-    w = T.Tensor(rng.standard_normal(out_shape))
-    check_grad(lambda: T.tsum(T.conv2d(x, k, b, padding, stride) * w), [x, k, b], 1e-5)
+    assert len(T._conv_blocks(2, 11, 11, kk * kk * 3)) >= 3
+    assert len(T._conv_blocks(2, 11, 11, kk * kk * 4)) >= 3
+    w = T.Tensor(rng.standard_normal((2, 11, 11, 4)))
+    check_grad(lambda: T.tsum(T.conv2d(x, k, b) * w), [x, k, b], 1e-5)
 
 
 def test_conv2d_stage0_forward_stays_well_below_one_cols_buffer():
@@ -195,7 +184,7 @@ def test_conv2d_stage0_forward_stays_well_below_one_cols_buffer():
     cols_bytes = 20 * 112 * 112 * 27 * 8  # the one-shot im2col matrix, 54 MB
     tracemalloc.start()
     try:
-        out = T.conv2d(x, k, b, "same", 1)
+        out = T.conv2d(x, k, b)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -343,6 +332,13 @@ def test_sigmoid_midpoint():
 def test_sigmoid_open_interval_extremes():
     out = T.sigmoid(T.Tensor([-1e6, -750.0, 750.0, 1e6])).data
     assert np.all(out > 0.0) and np.all(out < 1.0)
+
+
+def test_sigmoid_matches_three_exp_formula():
+    d = np.array([-800.0, -40.0, -1.5, -1e-300, 0.0, 1e-300, 0.5, 40.0, 800.0])
+    three_exp = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    expected = np.clip(three_exp, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+    assert np.array_equal(T.sigmoid(T.Tensor(d)).data, expected)
 
 
 def test_softmax_uniform():

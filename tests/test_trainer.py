@@ -7,7 +7,7 @@ from rgbdfuse import tensor as T
 from rgbdfuse import trainer as TR
 from rgbdfuse.data import make_batches, protocol_split
 from rgbdfuse.errors import ConfigError, TrainingError
-from rgbdfuse.model import ModelConfig, build_model, load_checkpoint
+from rgbdfuse.model import ModelConfig, build_model, load_checkpoint, read_checkpoint
 from rgbdfuse.tensor import Tensor
 
 MICRO = dict(
@@ -54,14 +54,6 @@ def test_adam_epoch_decay_schedule():
     assert opt.effective_lr() == pytest.approx(8.1e-6)
 
 
-def test_adam_per_step_decay_flag():
-    p = T.parameter(np.zeros(1), "p")
-    opt = TR.Adam([("p", p)], lr=1.0, decay=0.5, decay_per_step=True)
-    p.grad = np.ones(1)
-    opt.step()
-    assert opt.effective_lr() == 0.5
-
-
 def test_adam_nan_gradient_names_parameter():
     p = T.parameter(np.zeros(2), "classifier.final.w")
     opt = TR.Adam([("classifier.final.w", p)], lr=0.1)
@@ -96,8 +88,9 @@ def test_adam_blocked_update_matches_whole_array_formula():
     m = {n: np.zeros(s) for n, s in zip(ref, shapes)}
     v = {n: np.zeros(s) for n, s in zip(ref, shapes)}
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    opt = TR.Adam(params, lr=lr, decay=0.5, decay_per_step=True)
+    opt = TR.Adam(params, lr=lr, decay=0.5)
     for t in range(1, 4):
+        opt.epoch = t
         for n, p in params:
             p.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
             g = p.grad
@@ -251,6 +244,34 @@ def test_train_writes_artifacts(tmp_path, micro_manifest):
     summary = (tmp_path / "run" / "summary.csv").read_text().splitlines()
     assert summary[0] == ",".join(TR.SUMMARY_COLUMNS)
     assert (tmp_path / "run" / "config.txt").read_text() == report.config_text
+
+
+def test_train_writes_the_best_checkpoint_once(tmp_path, separable_manifest, monkeypatch):
+    cfg = micro_cfg(classes=2, epochs=12, seed=2, backbone_widths=(4, 6), learning_rate=3e-3)
+    evaluated = []  # the parameters at each evaluation: epoch 0 first, then one per epoch
+    saved = []
+    real_evaluate, real_save = TR.evaluate, TR.save_checkpoint
+
+    def recording_evaluate(model, records, batch_size=None):
+        evaluated.append({n: p.data.copy() for n, p in model.parameters()})
+        return real_evaluate(model, records, batch_size)
+
+    def counted_save(*args, **kwargs):
+        saved.append(kwargs["epoch"])
+        real_save(*args, **kwargs)
+
+    monkeypatch.setattr(TR, "evaluate", recording_evaluate)
+    monkeypatch.setattr(TR, "save_checkpoint", counted_save)
+    report, ckpt = TR.train(build_model(cfg), separable_manifest, out_dir=tmp_path / "run")
+
+    accs = [e.test_acc for e in report.epochs]
+    improvements = [e for e in range(1, len(accs)) if accs[e] > max(accs[:e])]
+    assert len(improvements) >= 2 and report.best_epoch < cfg.epochs
+    assert saved == [report.best_epoch]
+    _, epoch, records = read_checkpoint(ckpt)
+    assert epoch == report.best_epoch
+    for name, data in evaluated[report.best_epoch].items():
+        assert np.array_equal(records[name], data), name
 
 
 def test_train_divergence_aborts_with_checkpoint(tmp_path, micro_manifest, monkeypatch):
