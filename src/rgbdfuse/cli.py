@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .data import generate_synthetic, load_manifest, make_batches, write_manifes
 from .errors import CheckpointError, ConfigError, DataError, ShapeError, TrainingError, UsageError
 from .model import build_model, load_checkpoint, load_config
 from .preprocess import DepthImage, augment_expand, crop_resize, depth_clip_normalize
+from .tensor import atomic_write
 from .trainer import ablate, evaluate, gradcheck, train
 
 
@@ -51,9 +53,10 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     manifest = load_manifest(Path(args.in_dir) / "manifest.csv")
-    out_dir = Path(args.out)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
+    if args.augment and all(r.split != "train" for r in manifest.records):
+        raise DataError("--augment needs at least one train pair")
 
+    # every pair is read before anything is written, so a bad input leaves no output
     processed = []  # (record, rgb array, depth array)
     for r in manifest.records:
         rgb = netpbm.read_ppm(r.rgb)
@@ -66,26 +69,25 @@ def cmd_preprocess(args) -> int:
         depth = crop_resize(depth, args.size, args.crop_ratio)
         processed.append((r, rgb, depth))
 
-    outputs = []  # (subject, sample, rgb, depth, split, fold)
-    for r, rgb, depth in processed:
-        outputs.append((r.subject, r.sample, rgb, depth, r.split, r.fold))
-    if args.augment:
-        train_items = [(r, rgb, depth) for r, rgb, depth in processed if r.split == "train"]
-        expanded = augment_expand([(rgb, depth, r.label) for r, rgb, depth in train_items], seed=args.seed)
-        copies = len(expanded) // len(train_items)
-        for i, (r, _, _) in enumerate(train_items):
-            for j, rec in enumerate(expanded[i * copies + 1 : (i + 1) * copies], start=1):
-                outputs.append((r.subject, f"{r.sample}_a{j}", rec.rgb, rec.depth, r.split, r.fold))
+    out_dir = Path(args.out)
+    (out_dir / "images").mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for subject, sample, rgb, depth, split, fold in outputs:
-        rgb_rel = f"images/{subject}_{sample}_rgb.ppm"
-        depth_rel = f"images/{subject}_{sample}_depth.pgm"
+    def write_pair(r, sample, rgb, depth):
+        rgb_rel = f"images/{r.subject}_{sample}_rgb.ppm"
+        depth_rel = f"images/{r.subject}_{sample}_depth.pgm"
         netpbm.write_ppm(out_dir / rgb_rel, rgb)
         netpbm.write_pgm(out_dir / depth_rel, depth)
-        rows.append((subject, sample, rgb_rel, depth_rel, split, fold))
-    write_manifest(out_dir / "manifest.csv", rows)
-    print(f"processed {len(processed)} pairs -> {len(rows)} records at {out_dir / 'manifest.csv'}")
+        return (r.subject, sample, rgb_rel, depth_rel, r.split, r.fold)
+
+    rng = np.random.default_rng(args.seed)
+    rows, copy_rows = [], []  # the manifest lists every original before the copies
+    for r, rgb, depth in processed:
+        rows.append(write_pair(r, r.sample, rgb, depth))
+        if args.augment and r.split == "train":
+            for j, rec in enumerate(augment_expand([(rgb, depth, r.label)], seed=rng)[1:], start=1):
+                copy_rows.append(write_pair(r, f"{r.sample}_a{j}", rec.rgb, rec.depth))
+    write_manifest(out_dir / "manifest.csv", rows + copy_rows)
+    print(f"processed {len(processed)} pairs -> {len(rows) + len(copy_rows)} records at {out_dir / 'manifest.csv'}")
     return 0
 
 
@@ -153,27 +155,24 @@ def cmd_embed(args) -> int:
     manifest = load_manifest(args.manifest)
     records = _select_records(manifest, args.split)
     width = model.cfg.classifier_widths[-1]
-    weights_fh = None
-    if args.attention_out:
-        if model.fm_attention is None:
-            raise ConfigError("checkpoint has no feature-map attention to dump")
-        weights_fh = open(args.attention_out, "w", encoding="utf-8")
-        weights_fh.write("sample_id,weight_index,value\n")
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("sample_id,label," + ",".join(f"dim{i}" for i in range(width)) + "\n")
-            for batch in make_batches(records, model.cfg.batch_size, seed=0):
-                if weights_fh is not None:
-                    stages = model.forward_features(batch.rgb, batch.depth)
-                    write_weights_csv(weights_fh, batch.sample_ids, stages["fm_weights"])
-                    emb = stages["embedding"].data
-                else:
-                    emb = model.extract_embedding(batch.rgb, batch.depth).data
-                for sid, label, row in zip(batch.sample_ids, batch.labels, emb):
-                    fh.write(f"{sid},{label}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
+    if args.attention_out and model.fm_attention is None:
+        raise ConfigError("checkpoint has no feature-map attention to dump")
+    if args.attention_out and Path(args.attention_out).resolve() == Path(args.out).resolve():
+        raise ConfigError("--attention-out must name a different file from --out")
+    weights_out = atomic_write(args.attention_out, "w", encoding="utf-8") if args.attention_out else nullcontext()
+    with atomic_write(args.out, "w", encoding="utf-8") as fh, weights_out as weights_fh:
+        fh.write("sample_id,label," + ",".join(f"dim{i}" for i in range(width)) + "\n")
         if weights_fh is not None:
-            weights_fh.close()
+            weights_fh.write("sample_id,weight_index,value\n")
+        for batch in make_batches(records, model.cfg.batch_size, seed=0):
+            if weights_fh is not None:
+                stages = model.forward_features(batch.rgb, batch.depth)
+                write_weights_csv(weights_fh, batch.sample_ids, stages["fm_weights"])
+                emb = stages["embedding"].data
+            else:
+                emb = model.extract_embedding(batch.rgb, batch.depth).data
+            for sid, label, row in zip(batch.sample_ids, batch.labels, emb):
+                fh.write(f"{sid},{label}," + ",".join(f"{v:.17g}" for v in row) + "\n")
     print(f"wrote {len(records)} embeddings of width {width} to {args.out}")
     if args.attention_out:
         print(f"attention weights: {args.attention_out}")

@@ -16,7 +16,7 @@ import numpy as np
 from . import netpbm
 from .errors import ConfigError, DataError
 from .preprocess import resize_bilinear
-from .tensor import Tensor
+from .tensor import Tensor, atomic_write
 
 MANIFEST_COLUMNS = ("subject", "sample", "rgb", "depth", "split", "fold")
 
@@ -94,7 +94,7 @@ def load_manifest(path) -> DatasetManifest:
 
 def write_manifest(path, rows) -> None:
     """Rows of (subject, sample, rgb_relpath, depth_relpath, split, fold)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS)
         writer.writerows(rows)

@@ -174,10 +174,8 @@ def dropout(x: Tensor, rate: float, mode: str, rng) -> Tensor:
     return x * Tensor(keep / (1.0 - rate))
 
 
-def maxpool2d(x: Tensor, window: int = 2) -> Tensor:
-    """Non-overlapping spatial max pooling; only 2x2 windows are supported."""
-    if window != 2:
-        raise ConfigError(f"maxpool window must be 2, got {window}")
+def maxpool2d(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2 spatial max pooling."""
     return T.maxpool2x2(x)
 
 

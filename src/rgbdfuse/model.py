@@ -9,14 +9,10 @@ model.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import io
-import math
 import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +28,7 @@ from .attention import (
 )
 from .errors import CheckpointError, ConfigError, DataError, ShapeError
 from .layers import BatchNorm, ConvBackbone, DenseLayer, dense_forward, dropout
-from .tensor import Tensor
+from .tensor import Tensor, atomic_write
 
 FUSIONS = ("concat_only", "feature_map_only", "spatial_only", "two_level")
 MODALITIES = ("rgbd", "rgb", "depth")
@@ -169,23 +165,6 @@ def config_from_text(text: str) -> ModelConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r} on line {lineno}: {value!r}") from exc
     return ModelConfig(**kwargs)
-
-
-@contextlib.contextmanager
-def atomic_write(path, mode: str = "w", **open_kwargs):
-    """Write through a temp file beside ``path`` that replaces it only once the block completes.
-
-    If the block fails, any earlier file at ``path`` is left as it was and the temp file is removed.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, mode, **open_kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def load_config(path) -> ModelConfig:
@@ -432,22 +411,15 @@ def parameter_count(cfg: ModelConfig) -> int:
 # -- checkpoints -------------------------------------------------------------
 
 
-def _checkpoint_records(model: Model, optimizer=None):
-    records = list(model.parameters()) + [(n, Tensor(a)) for n, a in model.state_arrays()]
-    if optimizer is not None:
-        records.append(("adam.t", Tensor(float(optimizer.t))))
-        for name, m in optimizer.first_moments.items():
-            records.append((f"adam.m.{name}", Tensor(m)))
-        for name, v in optimizer.second_moments.items():
-            records.append((f"adam.v.{name}", Tensor(v)))
-    return records
+def _checkpoint_records(model: Model):
+    return list(model.parameters()) + [(n, Tensor(a)) for n, a in model.state_arrays()]
 
 
-def save_checkpoint(model: Model, path, epoch: int = 0, optimizer=None) -> None:
+def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
     """Container: magic 'FCKP', u32 version, length-prefixed config text, u64
     epoch, u32 record count, then (u32 name length, name, FTNS tensor) records."""
     config_bytes = config_to_text(model.cfg).encode("utf-8")
-    records = _checkpoint_records(model, optimizer)
+    records = _checkpoint_records(model)
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -535,9 +507,6 @@ def load_checkpoint(path) -> Model:
         targets = {n: p.data for n, p in model.parameters()} | dict(model.state_arrays())
 
         def load(name, dims):
-            if name.startswith("adam."):
-                fh.seek(8 * math.prod(dims), io.SEEK_CUR)
-                return
             if name not in targets:
                 raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
             if dims != targets[name].shape:

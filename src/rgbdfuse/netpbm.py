@@ -10,6 +10,7 @@ import os
 import numpy as np
 
 from .errors import DataError
+from .tensor import atomic_write
 
 
 def _read_header(fh, magic: bytes, path):
@@ -60,7 +61,7 @@ def write_ppm(path, image: np.ndarray) -> None:
     image = np.asarray(image)
     if image.dtype != np.uint8 or image.ndim != 3 or image.shape[2] != 3:
         raise DataError(f"P6 writer needs uint8 [H x W x 3], got {image.dtype} {image.shape}")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode())
         fh.write(image.tobytes())
 
@@ -80,7 +81,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     if image.ndim != 2 or image.dtype not in (np.uint8, np.uint16):
         raise DataError(f"P5 writer needs uint8 or uint16 [H x W], got {image.dtype} {image.shape}")
     maxval = 255 if image.dtype == np.uint8 else 65535
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode())
         if image.dtype == np.uint8:
             fh.write(image.tobytes())

@@ -35,14 +35,6 @@ class DepthImage:
         if self.samples.ndim != 2 or min(self.samples.shape) < 1:
             raise DataError(f"depth image must be 2-D, got shape {self.samples.shape}")
 
-    @property
-    def height(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.samples.shape[1]
-
 
 def nearest_rank_percentile(values: np.ndarray, p: float) -> int:
     """The sorted value at 1-based index ceil(p/100 * n); no interpolation."""
@@ -79,12 +71,19 @@ def depth_clip_normalize(d: DepthImage) -> np.ndarray:
 
 
 def _sample_bilinear(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
-    """Bilinear lookup at fractional coordinates; zero outside the source."""
+    """Bilinear lookup at fractional coordinates; zero outside the source.
+
+    The source gets a one-pixel zero border and each tap's index is clamped into
+    it, so a tap outside the source reads 0.0 and every tap is one gather.
+    """
     h, w = img.shape[:2]
+    padded = np.pad(img, ((1, 1), (1, 1)) + ((0, 0),) * (img.ndim - 2))
     y0 = np.floor(sy).astype(np.int64)
     x0 = np.floor(sx).astype(np.int64)
     wy = sy - y0
     wx = sx - x0
+    ys = [np.clip(y0 + d, -1, h) + 1 for d in (0, 1)]
+    xs = [np.clip(x0 + d, -1, w) + 1 for d in (0, 1)]
     out = np.zeros(sy.shape + img.shape[2:], dtype=np.float64)
     for dy, dx, weight in (
         (0, 0, (1 - wy) * (1 - wx)),
@@ -92,12 +91,7 @@ def _sample_bilinear(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndar
         (1, 0, wy * (1 - wx)),
         (1, 1, wy * wx),
     ):
-        yy = y0 + dy
-        xx = x0 + dx
-        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        values = np.zeros_like(out)
-        values[valid] = img[yy[valid], xx[valid]]
-        out += values * (weight[..., None] if img.ndim == 3 else weight)
+        out += padded[ys[dy], xs[dx]] * (weight[..., None] if img.ndim == 3 else weight)
     return out
 
 
@@ -212,12 +206,16 @@ def sample_augment_params(kind: str, rng) -> AugmentParams:
     raise ConfigError(f"unknown augment kind {kind!r}")
 
 
-def augment_expand(pairs, seed: int, copies: int = 3) -> list[SamplePair]:
+def augment_expand(pairs, seed, copies: int = 3) -> list[SamplePair]:
     """Each (rgb, depth, label) becomes itself plus ``copies`` transformed copies.
 
     Transform kinds are drawn without replacement per source pair; RGB and
     depth share the draw. Deterministic given the seed; every output record
     carries the params that produced it (None for originals).
+
+    ``seed`` is an int or a ``np.random.Generator``. ``np.random.default_rng``
+    returns a Generator unchanged, so one Generator passed to one call per
+    pair draws the same sequence as one call over all the pairs.
     """
     pairs = list(pairs)
     if not pairs:

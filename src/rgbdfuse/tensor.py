@@ -10,6 +10,9 @@ test suite and the gradcheck runner.
 Spatial data is channel-last with a leading batch axis (B x H x W x C). Ops
 that also take one sample (H x W x C) run it as a batch of one, through
 :func:`add_batch_axis` and :func:`drop_batch_axis`.
+
+The module also owns the package's file output: FTNS tensor io and
+:func:`atomic_write`, through which every file the package writes goes.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import os
 import struct
 import sys
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,13 +52,12 @@ def no_grad():
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse-mode AD."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
@@ -73,8 +77,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def _grad_buffer(self) -> np.ndarray:
         if self.grad is None:
@@ -141,9 +144,9 @@ def _lift(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def parameter(data, name=None) -> Tensor:
+def parameter(data) -> Tensor:
     """A trainable leaf tensor."""
-    return Tensor(data, requires_grad=True, name=name)
+    return Tensor(data, requires_grad=True)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -729,8 +732,26 @@ def read_tensor(stream) -> Tensor:
     return Tensor(out)
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Write through a temp file beside ``path`` that replaces it only once the block completes.
+
+    If the block fails, any earlier file at ``path`` is left as it was and the temp file is removed.
+    Every file the package writes goes through here.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_tensor(path, t: Tensor) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         write_tensor(fh, t)
 
 

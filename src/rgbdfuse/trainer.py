@@ -20,8 +20,8 @@ import numpy as np
 from . import tensor as T
 from .data import DatasetManifest, make_batches, protocol_split
 from .errors import ConfigError, TrainingError
-from .model import Model, ModelConfig, atomic_write, build_model, config_to_text, save_checkpoint, save_config
-from .tensor import Tensor
+from .model import Model, ModelConfig, build_model, config_to_text, save_checkpoint, save_config
+from .tensor import Tensor, atomic_write
 
 REPORT_COLUMNS = ("seed", "epoch", "train_loss", "train_acc", "test_acc", "effective_lr")
 SUMMARY_COLUMNS = (
@@ -502,18 +502,23 @@ def ablate(manifest: DatasetManifest, base_cfg: ModelConfig, seeds, out_csv=None
     """Train and evaluate every variant row of the three ablation tables.
 
     Emits mean and std of best test accuracy over the seeds, plus the mean
-    feature-map attention weight per source modality where applicable.
+    feature-map attention weight per source modality where applicable. A run is
+    a pure function of its config (seed included), so rows that resolve to the
+    same config share one run.
     """
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("ablate needs at least one seed")
     rows = []
+    reports = {}  # config text -> RunReport
     for table, variant, overrides in ABLATION_GRID:
         row = AblationRow(table, variant, seeds, [], [], [])
         for seed in seeds:
             cfg = replace(base_cfg, seed=seed, **overrides)
-            model = build_model(cfg)
-            report, _ = train(model, manifest, cfg, seed)
+            key = config_to_text(cfg)
+            if key not in reports:
+                reports[key], _ = train(build_model(cfg), manifest, cfg, seed)
+            report = reports[key]
             row.accs.append(report.best_test_acc)
             if report.fm_weight_rgb_mean is not None:
                 row.fm_rgb.append(report.fm_weight_rgb_mean)

@@ -104,7 +104,7 @@ def test_fm_weights_strictly_in_unit_interval():
 def test_fm_variants_shapes_and_gradients(kw):
     att = fm_init(4, 2, seed=6, hidden=5, **kw)
     rng = np.random.default_rng(7)
-    f = T.parameter(rng.standard_normal((2, 2, 4)), "f")
+    f = T.parameter(rng.standard_normal((2, 2, 4)))
     g = T.Tensor(rng.standard_normal((2, 2, 4)))
 
     weights, refined = A.feature_map_attention(att, f)
@@ -200,7 +200,7 @@ def test_spatial_constant_volume_gives_uniform_weights():
 def test_spatial_gradients(variant):
     att = sp_init(3, seed=19, variant=variant)
     rng = np.random.default_rng(20)
-    f = T.parameter(rng.standard_normal((3, 3, 4)), "f")
+    f = T.parameter(rng.standard_normal((3, 3, 4)))
     g = T.Tensor(rng.standard_normal((3, 3, 4)))
     params = [p for _, p in att.parameters()] + [f]
 

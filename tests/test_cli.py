@@ -1,16 +1,18 @@
 """End-to-end CLI flows: synth -> preprocess -> train -> eval/embed, gradcheck, ablate."""
 
+import contextlib
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
 
 from rgbdfuse import netpbm
 from rgbdfuse.cli import main
-from rgbdfuse.data import load_manifest
+from rgbdfuse.data import load_manifest, write_manifest
 from rgbdfuse.errors import UsageError
 from rgbdfuse.model import ModelConfig, build_model, config_to_text, save_checkpoint
-from rgbdfuse.preprocess import DepthImage, depth_clip_normalize
+from rgbdfuse.preprocess import DepthImage, augment_expand, crop_resize, depth_clip_normalize
 from tests.test_model import old_config_text, with_config_text, write_header_only_checkpoint
 
 MICRO_CFG = ModelConfig(
@@ -87,6 +89,60 @@ def test_preprocess_handles_16bit_depth(tmp_path):
     assert np.array_equal(got, crop_resize(expected, 16, 0.8))
 
 
+def test_preprocess_augment_writes_what_one_expand_call_over_all_train_pairs_gives(tmp_path, synth_dir):
+    out = tmp_path / "proc"
+    assert main(["preprocess", "--in", str(synth_dir), "--out", str(out), "--size", "12", "--augment", "--seed", "3"]) == 0
+
+    records = load_manifest(synth_dir / "manifest.csv").records
+    pairs = [(crop_resize(netpbm.read_ppm(r.rgb), 12), crop_resize(netpbm.read_pgm(r.depth), 12)) for r in records]
+    train = [(r, rgb, depth) for r, (rgb, depth) in zip(records, pairs) if r.split == "train"]
+    expanded = augment_expand([(rgb, depth, r.label) for r, rgb, depth in train], seed=3)
+    expected = tmp_path / "expected"
+    (expected / "images").mkdir(parents=True)
+    rows = []
+
+    def put(r, sample, rgb, depth):
+        rgb_rel, depth_rel = f"images/{r.subject}_{sample}_rgb.ppm", f"images/{r.subject}_{sample}_depth.pgm"
+        netpbm.write_ppm(expected / rgb_rel, rgb)
+        netpbm.write_pgm(expected / depth_rel, depth)
+        rows.append((r.subject, sample, rgb_rel, depth_rel, r.split, r.fold))
+
+    for r, (rgb, depth) in zip(records, pairs):
+        put(r, r.sample, rgb, depth)
+    for i, (r, _, _) in enumerate(train):
+        for j in (1, 2, 3):
+            put(r, f"{r.sample}_a{j}", expanded[4 * i + j].rgb, expanded[4 * i + j].depth)
+    write_manifest(expected / "manifest.csv", rows)
+
+    files = sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert len(files) == 1 + 2 * len(rows)
+    for rel in files:
+        assert (out / rel).read_bytes() == (expected / rel).read_bytes(), rel
+
+
+def test_preprocess_with_a_corrupt_last_input_writes_nothing(tmp_path, synth_dir, capsys):
+    raw = tmp_path / "raw"
+    shutil.copytree(synth_dir, raw)
+    last = load_manifest(raw / "manifest.csv").records[-1]
+    last.depth.write_bytes(last.depth.read_bytes()[:-7])
+    out = tmp_path / "proc"
+    code = main(["preprocess", "--in", str(raw), "--out", str(out), "--size", "16", "--augment"])
+    _assert_clean_exit(code, capsys, "truncated")
+    assert not out.exists()
+
+
+def test_preprocess_augment_without_train_pairs_exits_2_and_writes_nothing(tmp_path, synth_dir, capsys):
+    raw = tmp_path / "raw"
+    shutil.copytree(synth_dir, raw)
+    header, *rows = (raw / "manifest.csv").read_text().splitlines()
+    (raw / "manifest.csv").write_text("\n".join([header] + [row for row in rows if ",train," not in row]) + "\n")
+    out = tmp_path / "proc"
+    code = main(["preprocess", "--in", str(raw), "--out", str(out), "--size", "16", "--augment"])
+    _assert_clean_exit(code, capsys, "train pair")
+    assert not out.exists()
+
+
 def test_train_eval_embed_round_trip(tmp_path, synth_dir):
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text(config_to_text(MICRO_CFG))
@@ -152,6 +208,16 @@ def test_embed_with_attention_out_runs_one_forward_per_batch(tmp_path, synth_dir
         for batch in make_batches(load_manifest(synth_dir / "manifest.csv").records, MICRO_CFG.batch_size, seed=0):
             write_weights_csv(fh, batch.sample_ids, model.forward_features(batch.rgb, batch.depth)["fm_weights"])
     assert att_path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_embed_to_one_file_for_both_outputs_is_a_clean_exit(tmp_path, synth_dir, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(MICRO_CFG), ckpt)
+    out = tmp_path / "emb.csv"
+    args = ["embed", "--checkpoint", str(ckpt), "--manifest", str(synth_dir / "manifest.csv")]
+    code = main(args + ["--out", str(out), "--attention-out", str(tmp_path / "." / "emb.csv")])
+    _assert_clean_exit(code, capsys, "different file")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_train_class_count_mismatch(tmp_path, synth_dir):
@@ -267,3 +333,58 @@ def test_checkpoint_with_a_retired_key_set_is_a_clean_exit(tmp_path, synth_dir, 
     with_config_text(path, old_config_text(MICRO_CFG, share_backbones="true"))
     code = main(["eval", "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")])
     _assert_clean_exit(code, capsys, "retired")
+
+
+class _FailSecondWrite:
+    """A file whose second write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("target", ["image", "manifest", "embed"])
+def test_a_write_failing_part_way_keeps_the_previous_file(tmp_path, synth_dir, monkeypatch, target):
+    from rgbdfuse import cli, data
+
+    rng = np.random.default_rng(3)
+    if target == "image":
+        module, outputs = netpbm, [tmp_path / "x.ppm"]
+
+        def write():
+            netpbm.write_ppm(outputs[0], rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8))
+
+    elif target == "manifest":
+        module, outputs = data, [tmp_path / "manifest.csv"]
+
+        def write():
+            write_manifest(outputs[0], [("s0", str(rng.integers(1000)), "a.ppm", "a.pgm", "train", 0)])
+
+    else:
+        module, outputs = cli, [tmp_path / "emb.csv", tmp_path / "attention.csv"]
+        ckpt = tmp_path / "model.ckpt"
+
+        def write():
+            save_checkpoint(build_model(dataclasses.replace(MICRO_CFG, seed=int(rng.integers(1000)))), ckpt)
+            args = ["embed", "--checkpoint", str(ckpt), "--manifest", str(synth_dir / "manifest.csv")]
+            assert main(args + ["--out", str(outputs[0]), "--attention-out", str(outputs[1])]) == 0
+
+    write()
+    before = [p.read_bytes() for p in outputs]
+    real_atomic_write = module.atomic_write
+
+    @contextlib.contextmanager
+    def failing_atomic_write(path, mode="w", **kwargs):
+        with real_atomic_write(path, mode, **kwargs) as fh:
+            yield _FailSecondWrite(fh)
+
+    monkeypatch.setattr(module, "atomic_write", failing_atomic_write)
+    with pytest.raises(OSError, match="disk full"):
+        write()
+    assert [p.read_bytes() for p in outputs] == before
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

@@ -381,11 +381,22 @@ def test_checkpoint_missing_record_names_entry(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
 
     real_records = M._checkpoint_records
-    monkeypatch.setattr(M, "_checkpoint_records", lambda m, o=None, **kw: real_records(m, o)[1:])
+    monkeypatch.setattr(M, "_checkpoint_records", lambda m: real_records(m)[1:])
     M.save_checkpoint(model, path)
     monkeypatch.undo()
     dropped = model.parameters()[0][0]
     with pytest.raises(CheckpointError, match=dropped.replace(".", r"\.")):
+        M.load_checkpoint(path)
+
+
+def test_checkpoint_extra_optimizer_record_names_entry(tmp_path, monkeypatch):
+    model = M.build_model(tiny_cfg())
+    path = tmp_path / "model.ckpt"
+    real_records = M._checkpoint_records
+    monkeypatch.setattr(M, "_checkpoint_records", lambda m: real_records(m) + [("adam.t", T.Tensor(3.0))])
+    M.save_checkpoint(model, path)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match=r"'adam\.t'"):
         M.load_checkpoint(path)
 
 

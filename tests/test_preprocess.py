@@ -121,6 +121,49 @@ def test_bilinear_checkerboard_center():
     assert out[0, 0] == 0.0 and out[2, 2] == 0.0
 
 
+def reference_bilinear(img, sy, sx):
+    """Per-pixel, per-channel bilinear lookup in plain Python; a tap outside the source reads 0."""
+    h, w = img.shape[:2]
+    channels = img.shape[2] if img.ndim == 3 else 1
+    out = np.zeros(sy.shape + img.shape[2:])
+    for idx in np.ndindex(sy.shape):
+        y, x = float(sy[idx]), float(sx[idx])
+        y0, x0 = math.floor(y), math.floor(x)
+        wy, wx = y - y0, x - x0
+        for c in range(channels):
+            total = 0.0
+            for dy, dx, weight in ((0, 0, (1 - wy) * (1 - wx)), (0, 1, (1 - wy) * wx), (1, 0, wy * (1 - wx)), (1, 1, wy * wx)):
+                yy, xx = y0 + dy, x0 + dx
+                inside = 0 <= yy < h and 0 <= xx < w
+                total += (float(img[yy, xx, c] if img.ndim == 3 else img[yy, xx]) if inside else 0.0) * weight
+            out[idx + ((c,) if img.ndim == 3 else ())] = total
+    return out
+
+
+def inverse_affine_coords(h, w, matrix):
+    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    dy, dx = yy - cy, xx - cx
+    return matrix[0, 0] * dy + matrix[0, 1] * dx + cy, matrix[1, 0] * dy + matrix[1, 1] * dx + cx
+
+
+@pytest.mark.parametrize("shape", [(15, 15, 3), (15, 15)], ids=["rgb", "gray"])
+@pytest.mark.parametrize("transform", ["rotation30", "perspective0.5"])
+def test_sample_bilinear_matches_per_pixel_reference_far_outside_every_edge(shape, transform):
+    # taps more than one pixel outside the source must read 0, not a clamped edge pixel
+    img = np.random.default_rng(21).integers(0, 256, size=shape, dtype=np.uint8)
+    if transform == "rotation30":
+        a = math.radians(30.0)
+        matrix = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    else:
+        matrix = np.array([[2.0, 0.0], [0.0, 2.0]])  # inverse map of a 0.5 perspective scale
+    h, w = shape[:2]
+    sy, sx = inverse_affine_coords(h, w, matrix)
+    assert sy.min() < -1 and sy.max() > h and sx.min() < -1 and sx.max() > w
+    got = P._sample_bilinear(img.astype(np.float64), sy, sx)
+    assert np.array_equal(got, reference_bilinear(img, sy, sx))
+
+
 def test_crop_too_small_is_data_error():
     with pytest.raises(DataError):
         P.crop_resize(np.zeros((1, 5), dtype=np.uint8), 4)

@@ -1,0 +1,49 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import rgbdfuse
+
+PACKAGE = Path(rgbdfuse.__file__).parent
+
+
+def _open_mode(call: ast.Call):
+    """The mode argument of an ``open(...)`` / ``x.open(...)`` call, None when it has none."""
+    if isinstance(call.func, ast.Attribute) and call.func.attr == "open":
+        args = call.args  # Path.open(mode, ...)
+    else:
+        args = call.args[1:]  # open(file, mode, ...)
+    for kw in call.keywords:
+        if kw.arg == "mode":
+            return kw.value
+    return args[0] if args else None
+
+
+def _writes(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = _open_mode(call)
+    if mode is None:
+        return False
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True  # a mode worked out at run time could be anything
+    return any(c in mode.value for c in "wax+")
+
+
+def test_every_file_the_package_writes_goes_through_atomic_write():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "atomic_write":
+                allowed.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed and _writes(node):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not offenders, "files opened for writing outside atomic_write:\n" + "\n".join(offenders)

@@ -26,7 +26,7 @@ def check_grad(build_loss, params, tol, h=1e-5, atol=1e-9):
     """
     loss = build_loss()
     T.backward(loss, params)
-    for p in params:
+    for i, p in enumerate(params):
         analytic = p.grad.copy()
         p.zero_grad()
         fd = T.finite_diff_grad(lambda _: build_loss(), p, h=h)
@@ -35,7 +35,7 @@ def check_grad(build_loss, params, tol, h=1e-5, atol=1e-9):
         bad = diff > np.maximum(tol * scale, atol)
         if bad.any():
             worst = (diff / np.maximum(scale, 1e-30)).max()
-            raise AssertionError(f"gradient mismatch rel={worst:.3g} for {p.name or p.shape}")
+            raise AssertionError(f"gradient mismatch rel={worst:.3g} for parameter {i} {p.shape}")
 
 
 # -- matmul ---------------------------------------------------------------
@@ -59,8 +59,8 @@ def test_matmul_shape_error_names_both():
 
 def test_matmul_gradients():
     rng = np.random.default_rng(0)
-    a = T.parameter(rng.standard_normal((3, 4)), "a")
-    b = T.parameter(rng.standard_normal((4, 2)), "b")
+    a = T.parameter(rng.standard_normal((3, 4)))
+    b = T.parameter(rng.standard_normal((4, 2)))
     g = T.Tensor(rng.standard_normal((3, 2)))
     check_grad(lambda: T.tsum(T.matmul(a, b) * g), [a, b], 1e-6)
 
@@ -94,9 +94,9 @@ def test_conv2d_empty_input_is_shape_error(x_shape, k_shape):
 
 def test_conv2d_gradients():
     rng = np.random.default_rng(4)
-    x = T.parameter(rng.standard_normal((5, 5, 2)), "x")
-    k = T.parameter(rng.standard_normal((3, 3, 2, 4)), "k")
-    b = T.parameter(rng.standard_normal(4), "b")
+    x = T.parameter(rng.standard_normal((5, 5, 2)))
+    k = T.parameter(rng.standard_normal((3, 3, 2, 4)))
+    b = T.parameter(rng.standard_normal(4))
     w = T.Tensor(rng.standard_normal((5, 5, 4)))
     check_grad(lambda: T.tsum(T.conv2d(x, k, b) * w), [x, k, b], 1e-5)
 
@@ -167,9 +167,9 @@ def test_conv2d_gradients_across_blocks(monkeypatch, kk):
     # in the input gradient's correlation of g with the flipped kernels
     monkeypatch.setattr(T, "CONV_BLOCK", 64)
     rng = np.random.default_rng(41)
-    x = T.parameter(rng.standard_normal((2, 11, 11, 3)), "x")
-    k = T.parameter(rng.standard_normal((kk, kk, 3, 4)), "k")
-    b = T.parameter(rng.standard_normal(4), "b")
+    x = T.parameter(rng.standard_normal((2, 11, 11, 3)))
+    k = T.parameter(rng.standard_normal((kk, kk, 3, 4)))
+    b = T.parameter(rng.standard_normal(4))
     assert len(T._conv_blocks(2, 11, 11, kk * kk * 3)) >= 3
     assert len(T._conv_blocks(2, 11, 11, kk * kk * 4)) >= 3
     w = T.Tensor(rng.standard_normal((2, 11, 11, 4)))
@@ -179,8 +179,8 @@ def test_conv2d_gradients_across_blocks(monkeypatch, kk):
 def test_conv2d_stage0_forward_stays_well_below_one_cols_buffer():
     rng = np.random.default_rng(42)
     x = T.Tensor(rng.random((20, 112, 112, 3)))
-    k = T.parameter(rng.uniform(-0.2, 0.2, (3, 3, 3, 8)), "k")
-    b = T.parameter(np.zeros(8), "b")
+    k = T.parameter(rng.uniform(-0.2, 0.2, (3, 3, 3, 8)))
+    b = T.parameter(np.zeros(8))
     cols_bytes = 20 * 112 * 112 * 27 * 8  # the one-shot im2col matrix, 54 MB
     tracemalloc.start()
     try:
@@ -237,8 +237,8 @@ def test_concat_then_slice_identity(m, ka, kb, seed):
 
 
 def test_channel_concat_backward_splits():
-    a = T.parameter(np.random.default_rng(8).random((2, 2, 2)), "a")
-    b = T.parameter(np.random.default_rng(9).random((2, 2, 3)), "b")
+    a = T.parameter(np.random.default_rng(8).random((2, 2, 2)))
+    b = T.parameter(np.random.default_rng(9).random((2, 2, 3)))
     w = T.Tensor(np.random.default_rng(10).random((2, 2, 5)))
     check_grad(lambda: T.tsum(T.channel_concat(a, b) * w), [a, b], 1e-6)
 
@@ -254,8 +254,8 @@ def test_broadcast_mul_channel_identity_and_half():
 
 def test_broadcast_mul_channel_gradients():
     rng = np.random.default_rng(12)
-    f = T.parameter(rng.standard_normal((3, 3, 4)), "f")
-    w = T.parameter(rng.standard_normal(4), "w")
+    f = T.parameter(rng.standard_normal((3, 3, 4)))
+    w = T.parameter(rng.standard_normal(4))
     g = T.Tensor(rng.standard_normal((3, 3, 4)))
     check_grad(lambda: T.tsum(T.broadcast_mul_channel(f, w) * g), [f, w], 1e-6)
 
@@ -278,8 +278,8 @@ def test_broadcast_mul_spatial_identity_and_mask():
 
 def test_broadcast_mul_spatial_gradients():
     rng = np.random.default_rng(14)
-    f = T.parameter(rng.standard_normal((3, 3, 4)), "f")
-    w = T.parameter(rng.standard_normal((3, 3)), "w")
+    f = T.parameter(rng.standard_normal((3, 3, 4)))
+    w = T.parameter(rng.standard_normal((3, 3)))
     g = T.Tensor(rng.standard_normal((3, 3, 4)))
     check_grad(lambda: T.tsum(T.broadcast_mul_spatial(f, w) * g), [f, w], 1e-6)
 
@@ -309,14 +309,14 @@ def test_channel_pool_hand_values():
 
 def test_channel_pool_gradients():
     rng = np.random.default_rng(16)
-    f = T.parameter(rng.standard_normal((4, 4, 8)), "f")
+    f = T.parameter(rng.standard_normal((4, 4, 8)))
     g = T.Tensor(rng.standard_normal((4, 4, 1)))
     check_grad(lambda: T.tsum(T.channel_pool(f, "avg") * g), [f], 1e-6)
     check_grad(lambda: T.tsum(T.channel_pool(f, "max") * g), [f], 1e-6)
 
 
 def test_channel_pool_max_tie_routes_to_first():
-    f = T.parameter(np.array([[[2.0, 2.0, 1.0]]]), "f")
+    f = T.parameter(np.array([[[2.0, 2.0, 1.0]]]))
     out = T.channel_pool(f, "max")
     T.backward(T.tsum(out), [f])
     assert f.grad.tolist() == [[[1.0, 0.0, 0.0]]]
@@ -356,13 +356,13 @@ def test_softmax_rows_sum_to_one(row, rows):
 
 
 def test_sigmoid_gradient_tight():
-    x = T.parameter(np.random.default_rng(17).standard_normal(6), "x")
+    x = T.parameter(np.random.default_rng(17).standard_normal(6))
     g = T.Tensor(np.random.default_rng(18).standard_normal(6))
     check_grad(lambda: T.tsum(T.sigmoid(x) * g), [x], 1e-7)
 
 
 def test_softmax_gradients():
-    x = T.parameter(np.random.default_rng(19).standard_normal((3, 5)), "x")
+    x = T.parameter(np.random.default_rng(19).standard_normal((3, 5)))
     g = T.Tensor(np.random.default_rng(20).standard_normal((3, 5)))
     check_grad(lambda: T.tsum(T.softmax(x) * g), [x], 1e-6)
 
@@ -393,7 +393,7 @@ def test_cross_entropy_confident_correct():
 
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
     rng = np.random.default_rng(21)
-    logits = T.parameter(rng.standard_normal((4, 5)), "logits")
+    logits = T.parameter(rng.standard_normal((4, 5)))
     labels = [0, 2, 4, 1]
     loss = T.cross_entropy(logits, labels)
     T.backward(loss, [logits])
@@ -415,26 +415,26 @@ def test_cross_entropy_label_out_of_range_names_sample():
 
 
 def test_backward_sum_gives_ones():
-    x = T.parameter(np.arange(6.0).reshape(2, 3), "x")
+    x = T.parameter(np.arange(6.0).reshape(2, 3))
     T.backward(T.tsum(x), [x])
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_quadratic():
-    x = T.parameter(np.array([1.0, -2.0, 3.0]), "x")
+    x = T.parameter(np.array([1.0, -2.0, 3.0]))
     T.backward(T.tsum(x * x), [x])
     assert np.allclose(x.grad, 2 * x.data)
 
 
 def test_backward_requires_scalar():
-    x = T.parameter(np.ones(3), "x")
+    x = T.parameter(np.ones(3))
     with pytest.raises(UsageError):
         T.backward(x * x)
 
 
 def test_backward_unreached_param_gets_zeros():
-    x = T.parameter(np.ones(3), "x")
-    y = T.parameter(np.ones(2), "y")
+    x = T.parameter(np.ones(3))
+    y = T.parameter(np.ones(2))
     grads = T.backward(T.tsum(x), [x, y])
     assert np.array_equal(grads[y], np.zeros(2))
 
@@ -447,19 +447,19 @@ def test_fanout_accumulation_matches_sum_of_single_uses(seed):
     a = rng.standard_normal(4)
     b = rng.standard_normal(4)
 
-    x = T.parameter(v.copy(), "x")
+    x = T.parameter(v.copy())
     T.backward(T.tsum(x * T.Tensor(a) + x * T.Tensor(b)), [x])
     combined = x.grad.copy()
 
-    x1 = T.parameter(v.copy(), "x1")
+    x1 = T.parameter(v.copy())
     T.backward(T.tsum(x1 * T.Tensor(a)), [x1])
-    x2 = T.parameter(v.copy(), "x2")
+    x2 = T.parameter(v.copy())
     T.backward(T.tsum(x2 * T.Tensor(b)), [x2])
     assert np.allclose(combined, x1.grad + x2.grad, atol=1e-15)
 
 
 def test_deep_graph_backward_is_iterative():
-    x = T.parameter(np.array(1.0), "x")
+    x = T.parameter(np.array(1.0))
     y = x
     for _ in range(5000):
         y = y * T.Tensor(1.0)
@@ -484,7 +484,7 @@ def test_finite_diff_square_at_three():
 
 def test_finite_diff_agrees_with_backward_on_dense_layer():
     rng = np.random.default_rng(23)
-    w = T.parameter(rng.standard_normal((4, 3)), "w")
+    w = T.parameter(rng.standard_normal((4, 3)))
     x = T.Tensor(rng.standard_normal((2, 4)))
     tgt = T.Tensor(rng.standard_normal((2, 3)))
 
@@ -503,7 +503,7 @@ def test_finite_diff_agrees_with_backward_on_dense_layer():
 
 def test_reshape_transpose_concat_grads():
     rng = np.random.default_rng(24)
-    x = T.parameter(rng.standard_normal((2, 3, 4)), "x")
+    x = T.parameter(rng.standard_normal((2, 3, 4)))
     g = T.Tensor(rng.standard_normal((4, 6)))
 
     def loss():
@@ -514,7 +514,7 @@ def test_reshape_transpose_concat_grads():
 
 
 def test_index_and_flip_axis0():
-    x = T.parameter(np.arange(12.0).reshape(3, 4), "x")
+    x = T.parameter(np.arange(12.0).reshape(3, 4))
     row = T.take(x, 1)
     assert np.array_equal(row.data, x.data[1])
     T.backward(T.tsum(row), [x])
@@ -522,7 +522,7 @@ def test_index_and_flip_axis0():
     expect[1] = 1.0
     assert np.array_equal(x.grad, expect)
 
-    y = T.parameter(np.arange(6.0).reshape(3, 2), "y")
+    y = T.parameter(np.arange(6.0).reshape(3, 2))
     flipped = T.take(y, slice(None, None, -1))
     assert np.array_equal(flipped.data, y.data[::-1])
     g = np.random.default_rng(25).random((3, 2))
@@ -531,7 +531,7 @@ def test_index_and_flip_axis0():
 
 
 def test_maxpool2x2_values_and_grad():
-    x = T.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1), "x")
+    x = T.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
     out = T.maxpool2x2(x)
     assert out.data.reshape(-1).tolist() == [4.0]
     T.backward(T.tsum(out), [x])
@@ -563,14 +563,14 @@ def test_maxpool2x2_tie_routes_to_first_in_row_major_order():
     for k, (w, (di, dj)) in enumerate(zip(windows, expect)):
         x[:, 2 * k : 2 * k + 2, 0] = w
         want[di, 2 * k + dj, 0] = 1.0
-    p = T.parameter(x, "x")
+    p = T.parameter(x)
     T.backward(T.tsum(T.maxpool2x2(p)), [p])
     assert np.array_equal(p.grad, want)
 
     rng = np.random.default_rng(30)
     for shape in [(4, 6, 3), (3, 4, 6, 2)]:
         x = rng.integers(0, 2, size=shape).astype(float)  # ties in most windows
-        p = T.parameter(x, "x")
+        p = T.parameter(x)
         out = T.maxpool2x2(p)
         g = rng.standard_normal(out.shape)
         T.backward(T.tsum(out * T.Tensor(g)), [p])
@@ -584,7 +584,7 @@ def test_maxpool2x2_commutes_with_relu_in_value_and_gradient():
         g = rng.standard_normal(shape[:-3] + (shape[-3] // 2, shape[-2] // 2, shape[-1]))
         results = []
         for order in ("pool_relu", "relu_pool"):
-            p = T.parameter(x.copy(), "x")
+            p = T.parameter(x.copy())
             out = T.relu(T.maxpool2x2(p)) if order == "pool_relu" else T.maxpool2x2(T.relu(p))
             T.backward(T.tsum(out * T.Tensor(g)), [p])
             results.append((out.data, p.grad))
@@ -594,8 +594,8 @@ def test_maxpool2x2_commutes_with_relu_in_value_and_gradient():
 
 def test_gradients_never_alias_after_backward():
     rng = np.random.default_rng(32)
-    x = T.parameter(rng.standard_normal((2, 3)), "x")
-    y = T.parameter(rng.standard_normal((2, 3)), "y")
+    x = T.parameter(rng.standard_normal((2, 3)))
+    y = T.parameter(rng.standard_normal((2, 3)))
     s = T.add(x, y)
     r = T.reshape(s, (6,))
     loss = T.tsum(r) + T.tsum(T.add(x, x))  # tsum hands back a read-only broadcast_to view
@@ -694,7 +694,7 @@ def test_tensor_header_dims_no_array_can_have_is_data_error(dims):
 
 def test_batch_axis_round_trip_carries_gradients():
     rng = np.random.default_rng(40)
-    x = T.parameter(rng.standard_normal((3, 4)), "x")
+    x = T.parameter(rng.standard_normal((3, 4)))
     g = T.Tensor(rng.standard_normal((3, 4)))
     assert T.add_batch_axis(x).shape == (1, 3, 4)
     assert T.add_batch_axis(x, 1).shape == (3, 1, 4)

@@ -29,7 +29,7 @@ def micro_cfg(classes, **overrides):
 
 
 def test_adam_zero_gradients_is_noop():
-    p = T.parameter(np.array([1.0, -2.0]), "p")
+    p = T.parameter(np.array([1.0, -2.0]))
     opt = TR.Adam([("p", p)], lr=0.1)
     p.grad = np.zeros(2)
     TR.adam_step(opt)
@@ -40,7 +40,7 @@ def test_adam_zero_gradients_is_noop():
 
 
 def test_adam_first_step_magnitude():
-    p = T.parameter(np.array([0.0]), "p")
+    p = T.parameter(np.array([0.0]))
     opt = TR.Adam([("p", p)], lr=0.1)
     p.grad = np.array([1.0])
     opt.step()
@@ -48,14 +48,14 @@ def test_adam_first_step_magnitude():
 
 
 def test_adam_epoch_decay_schedule():
-    p = T.parameter(np.zeros(1), "p")
+    p = T.parameter(np.zeros(1))
     opt = TR.Adam([("p", p)], lr=1e-5, decay=0.9)
     opt.epoch = 2
     assert opt.effective_lr() == pytest.approx(8.1e-6)
 
 
 def test_adam_nan_gradient_names_parameter():
-    p = T.parameter(np.zeros(2), "classifier.final.w")
+    p = T.parameter(np.zeros(2))
     opt = TR.Adam([("classifier.final.w", p)], lr=0.1)
     p.grad = np.array([0.0, np.nan])
     with pytest.raises(TrainingError, match="classifier.final.w"):
@@ -63,8 +63,8 @@ def test_adam_nan_gradient_names_parameter():
 
 
 def test_adam_failed_step_leaves_state_unchanged():
-    a = T.parameter(np.array([1.0, -2.0]), "a")
-    b = T.parameter(np.array([3.0]), "b")
+    a = T.parameter(np.array([1.0, -2.0]))
+    b = T.parameter(np.array([3.0]))
     opt = TR.Adam([("a", a), ("b", b)], lr=0.1)
     a.grad, b.grad = np.array([0.5, -0.5]), np.array([1.0])
     opt.step()
@@ -106,7 +106,7 @@ def test_adam_blocked_update_matches_whole_array_formula():
 
 
 def test_adam_constant_gradient_converges_on_quadratic():
-    p = T.parameter(np.array([5.0]), "p")
+    p = T.parameter(np.array([5.0]))
     opt = TR.Adam([("p", p)], lr=0.2)
     for _ in range(200):
         p.grad = 2 * p.data  # d/dp of p^2
@@ -385,6 +385,29 @@ def test_ablate_single_variant_single_seed(tmp_path, micro_manifest, monkeypatch
     lines = (tmp_path / "ablation.csv").read_text().splitlines()
     assert lines[0] == ",".join(TR.ABLATION_COLUMNS)
     assert len(lines) == 2
+
+
+def test_ablate_trains_each_distinct_config_once_per_seed(tmp_path, micro_manifest, monkeypatch):
+    # under the default base, 4 of the 15 rows repeat another row's config
+    cfg = micro_cfg(classes=micro_manifest.class_count, epochs=1)
+    real_train = TR.train
+    seeds_trained = []
+
+    def counting_train(model, manifest, run_cfg, seed):
+        seeds_trained.append(seed)
+        return real_train(model, manifest, run_cfg, seed)
+
+    monkeypatch.setattr(TR, "train", counting_train)
+    TR.ablate(micro_manifest, cfg, seeds=[0, 1], out_csv=tmp_path / "ablation.csv")
+    assert seeds_trained.count(0) == seeds_trained.count(1) == 11
+
+    every_row = []  # one grid row per call, so no run is shared
+    for entry in TR.ABLATION_GRID:
+        monkeypatch.setattr(TR, "ABLATION_GRID", (entry,))
+        every_row += TR.ablate(micro_manifest, cfg, seeds=[0, 1])
+    assert len(seeds_trained) == 22 + 30
+    TR.write_ablation_csv(tmp_path / "every_row.csv", every_row)
+    assert (tmp_path / "every_row.csv").read_bytes() == (tmp_path / "ablation.csv").read_bytes()
 
 
 def test_ablate_requires_seeds(micro_manifest):
