@@ -25,17 +25,26 @@ from .tensor import atomic_write
 from .trainer import ablate, evaluate, gradcheck, train
 
 
-def _parse_class_list(raw: str, n_classes: int):
-    if not raw:
-        return ()
+def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in raw.split(",") if x.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must be a comma list of integers, got {raw!r}") from exc
+
+
+def _parse_class_list(raw: str, n_classes: int, flag: str):
     if raw.strip().lower() == "all":
         return tuple(range(n_classes))
-    return tuple(int(x) for x in raw.split(",") if x.strip())
+    classes = _parse_int_list(raw, flag)
+    bad = [c for c in classes if not 0 <= c < n_classes]
+    if bad:
+        raise ConfigError(f"{flag} names class {bad[0]}, outside 0..{n_classes - 1}")
+    return classes
 
 
 def cmd_synth(args) -> int:
-    noise_depth = _parse_class_list(args.noise_depth_classes, args.classes)
-    noise_rgb = _parse_class_list(args.noise_rgb_classes, args.classes)
+    noise_depth = _parse_class_list(args.noise_depth_classes, args.classes, "--noise-depth-classes")
+    noise_rgb = _parse_class_list(args.noise_rgb_classes, args.classes, "--noise-rgb-classes")
     path = generate_synthetic(
         args.out,
         classes=args.classes,
@@ -142,7 +151,7 @@ def cmd_ablate(args) -> int:
     manifest = load_manifest(args.manifest)
     if manifest.class_count != cfg.classes:
         raise ConfigError(f"config says {cfg.classes} classes but manifest has {manifest.class_count}")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = _parse_int_list(args.seeds, "--seeds")
     rows = ablate(manifest, cfg, seeds, out_csv=args.out)
     for row in rows:
         print(f"{row.table} {row.variant}: {row.mean_acc:.4f} +/- {row.std_acc:.4f}")
@@ -165,13 +174,10 @@ def cmd_embed(args) -> int:
         if weights_fh is not None:
             weights_fh.write("sample_id,weight_index,value\n")
         for batch in make_batches(records, model.cfg.batch_size, seed=0):
+            stages = model.forward_features(batch.rgb, batch.depth)
             if weights_fh is not None:
-                stages = model.forward_features(batch.rgb, batch.depth)
                 write_weights_csv(weights_fh, batch.sample_ids, stages["fm_weights"])
-                emb = stages["embedding"].data
-            else:
-                emb = model.extract_embedding(batch.rgb, batch.depth).data
-            for sid, label, row in zip(batch.sample_ids, batch.labels, emb):
+            for sid, label, row in zip(batch.sample_ids, batch.labels, stages["embedding"].data):
                 fh.write(f"{sid},{label}," + ",".join(f"{v:.17g}" for v in row) + "\n")
     print(f"wrote {len(records)} embeddings of width {width} to {args.out}")
     if args.attention_out:

@@ -24,7 +24,6 @@ from .attention import (
     SpatialAttention,
     feature_map_attention,
     spatial_attention,
-    two_level_attention,
 )
 from .errors import CheckpointError, ConfigError, DataError, ShapeError
 from .layers import BatchNorm, ConvBackbone, DenseLayer, dense_forward, dropout
@@ -77,7 +76,7 @@ class ModelConfig:
             raise ConfigError(f"spatial_variant must be one of {SPATIAL_VARIANTS}")
         if not self.backbone_widths or any(w < 1 for w in self.backbone_widths):
             raise ConfigError(f"backbone widths must be positive, got {self.backbone_widths}")
-        if any(w < 1 for w in self.classifier_widths):
+        if not self.classifier_widths or any(w < 1 for w in self.classifier_widths):
             raise ConfigError(f"classifier widths must be positive, got {self.classifier_widths}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -201,14 +200,14 @@ class Model:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, cfg: ModelConfig, seed: int | None = None) -> "Model":
-        return cls._assemble(cfg, cfg.seed if seed is None else seed, draw=True)
+    def build(cls, cfg: ModelConfig) -> "Model":
+        return cls._assemble(cfg, draw=True)
 
     @classmethod
-    def _assemble(cls, cfg: ModelConfig, seed: int, draw: bool) -> "Model":
+    def _assemble(cls, cfg: ModelConfig, draw: bool) -> "Model":
         """The model ``cfg`` implies; with ``draw`` false its weights are left unfilled for a
         checkpoint to overwrite, and only the dropout stream is seeded."""
-        streams = np.random.SeedSequence(seed).spawn(6)
+        streams = np.random.SeedSequence(cfg.seed).spawn(6)
         rngs = [np.random.default_rng(s) if draw else _Unfilled for s in streams[:5]]
         model = cls(cfg)
 
@@ -244,33 +243,25 @@ class Model:
         model._dropout_rng = np.random.default_rng(streams[5])
         return model
 
-    def _components(self):
-        out = []
-        if self.backbone_rgb is not None:
-            out.append(("backbone_rgb", self.backbone_rgb))
-        if self.backbone_depth is not None:
-            out.append(("backbone_depth", self.backbone_depth))
-        if self.fm_attention is not None:
-            out.append(("fm_attention", self.fm_attention))
-        if self.spatial_attention is not None:
-            out.append(("spatial_attention", self.spatial_attention))
-        return out
-
     def parameters(self) -> list[tuple[str, Tensor]]:
         out = []
-        for prefix, comp in self._components():
-            out += [(f"{prefix}.{n}", p) for n, p in comp.parameters()]
+        for prefix in ("backbone_rgb", "backbone_depth", "fm_attention", "spatial_attention"):
+            comp = getattr(self, prefix)
+            if comp is not None:
+                out += [(f"{prefix}.{n}", p) for n, p in comp.parameters()]
         for i, (dense, bn) in enumerate(self.classifier):
             out += [(f"classifier.block{i}.dense.{n}", p) for n, p in dense.parameters()]
             out += [(f"classifier.block{i}.bn.{n}", p) for n, p in bn.parameters()]
         out += [(f"classifier.final.{n}", p) for n, p in self.final.parameters()]
         return out
 
-    def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Non-trainable buffers that must persist (batchnorm running stats)."""
-        out = []
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every array the model's state is made of, by checkpoint record name and in record
+        order: each parameter's data, then the batchnorm running stats. Built on each call,
+        because a train-mode batchnorm forward rebinds its running stats."""
+        out = {n: p.data for n, p in self.parameters()}
         for i, (_, bn) in enumerate(self.classifier):
-            out += [(f"classifier.block{i}.bn.{n}", a) for n, a in bn.state()]
+            out |= {f"classifier.block{i}.bn.{n}": a for n, a in bn.state()}
         return out
 
     # -- forward -----------------------------------------------------------
@@ -290,16 +281,11 @@ class Model:
         f_depth = self.backbone_depth.forward(depth3)
         fused = T.channel_concat(f_rgb, f_depth)
         stages.update(f_rgb=f_rgb, f_depth=f_depth, f_concat=fused)
-        if self.cfg.fusion == "feature_map_only":
+        if self.fm_attention is not None:
             stages["fm_weights"], fused = feature_map_attention(self.fm_attention, fused)
-        elif self.cfg.fusion == "spatial_only":
+            stages["f_fm"] = fused
+        if self.spatial_attention is not None:
             stages["spatial_weights"], fused = spatial_attention(self.spatial_attention, fused)
-        elif self.cfg.fusion == "two_level":
-            result = two_level_attention(self.fm_attention, self.spatial_attention, fused)
-            stages["fm_weights"] = result.fm_weights
-            stages["f_fm"] = result.fm_refined
-            stages["spatial_weights"] = result.spatial_weights
-            fused = result.refined
         stages["features"] = fused
         return stages
 
@@ -328,10 +314,7 @@ class Model:
         return stages
 
     def extract_embedding(self, rgb: Tensor, depth: Tensor) -> Tensor:
-        rgb, depth = _check_inputs(self.cfg, rgb, depth)
-        with T.no_grad():
-            _, embedding = self._head(self._fuse(rgb, depth)["features"], "eval")
-        return embedding
+        return self.forward_features(rgb, depth)["embedding"]
 
 
 def _check_inputs(cfg: ModelConfig, rgb, depth):
@@ -347,8 +330,8 @@ def _check_inputs(cfg: ModelConfig, rgb, depth):
     return rgb, depth
 
 
-def build_model(cfg: ModelConfig, seed: int | None = None) -> Model:
-    return Model.build(cfg, seed)
+def build_model(cfg: ModelConfig) -> Model:
+    return Model.build(cfg)
 
 
 def forward(model: Model, rgb, depth, mode: str = "eval") -> Tensor:
@@ -411,15 +394,11 @@ def parameter_count(cfg: ModelConfig) -> int:
 # -- checkpoints -------------------------------------------------------------
 
 
-def _checkpoint_records(model: Model):
-    return list(model.parameters()) + [(n, Tensor(a)) for n, a in model.state_arrays()]
-
-
 def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
     """Container: magic 'FCKP', u32 version, length-prefixed config text, u64
     epoch, u32 record count, then (u32 name length, name, FTNS tensor) records."""
     config_bytes = config_to_text(model.cfg).encode("utf-8")
-    records = _checkpoint_records(model)
+    records = model.arrays()
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -427,11 +406,11 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
         fh.write(config_bytes)
         fh.write(struct.pack("<Q", epoch))
         fh.write(struct.pack("<I", len(records)))
-        for name, t in records:
+        for name, a in records.items():
             raw = name.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-            T.write_tensor(fh, t)
+            T.write_tensor(fh, Tensor(a))
 
 
 def _read_exact(fh, n, what):
@@ -503,8 +482,8 @@ def load_checkpoint(path) -> Model:
         need, left = 8 * parameter_count(cfg), os.fstat(fh.fileno()).st_size - fh.tell()
         if need > left:
             raise CheckpointError(f"config implies {need} bytes of parameters, {left} bytes left in the checkpoint")
-        model = Model._assemble(cfg, cfg.seed, draw=False)
-        targets = {n: p.data for n, p in model.parameters()} | dict(model.state_arrays())
+        model = Model._assemble(cfg, draw=False)
+        targets = model.arrays()
 
         def load(name, dims):
             if name not in targets:

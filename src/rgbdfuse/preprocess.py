@@ -173,6 +173,8 @@ def crop_resize(img: np.ndarray, target: int, crop_ratio: float = 0.8) -> np.nda
 
 
 def resize_bilinear(img: np.ndarray, target: int) -> np.ndarray:
+    if target < 1:
+        raise ConfigError(f"resize target must be at least 1 pixel, got {target}")
     h, w = img.shape[:2]
     if (h, w) == (target, target):
         return img.copy()

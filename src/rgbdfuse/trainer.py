@@ -119,14 +119,13 @@ def adam_step(state: Adam) -> None:
 # -- evaluation -----------------------------------------------------------------
 
 
-def evaluate(model: Model, records, batch_size: int | None = None):
+def evaluate(model: Model, records):
     """Rank-1 accuracy and an N x N confusion-count matrix over the records."""
     if not records:
         raise ConfigError("evaluate needs at least one record")
-    batch_size = batch_size or model.cfg.batch_size
     n = model.cfg.classes
     confusion = np.zeros((n, n), dtype=np.int64)
-    for batch in make_batches(records, batch_size, seed=0):
+    for batch in make_batches(records, model.cfg.batch_size, seed=0):
         with T.no_grad():
             logits = model.forward(batch.rgb, batch.depth, "eval")
         preds = logits.data.argmax(axis=1)
@@ -136,15 +135,14 @@ def evaluate(model: Model, records, batch_size: int | None = None):
     return accuracy, confusion
 
 
-def attention_weight_means(model: Model, records, batch_size: int | None = None):
+def attention_weight_means(model: Model, records):
     """Mean feature-map attention weight over RGB- vs depth-derived channels."""
-    if model.fm_attention is None or model.cfg.modality != "rgbd":
+    if model.fm_attention is None:
         return None
-    batch_size = batch_size or model.cfg.batch_size
     k = model.cfg.feature_channels
     total = np.zeros(2 * k)
     count = 0
-    for batch in make_batches(records, batch_size, seed=0):
+    for batch in make_batches(records, model.cfg.batch_size, seed=0):
         stages = model.forward_features(batch.rgb, batch.depth)
         w = stages["fm_weights"].data
         total += w.sum(axis=0)
@@ -226,15 +224,11 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 
 
 def _snapshot(model: Model):
-    return {n: p.data.copy() for n, p in model.parameters()} | {
-        n: a.copy() for n, a in model.state_arrays()
-    }
+    return {n: a.copy() for n, a in model.arrays().items()}
 
 
 def _restore(model: Model, snapshot) -> None:
-    for n, p in model.parameters():
-        p.data[...] = snapshot[n]
-    for n, a in model.state_arrays():
+    for n, a in model.arrays().items():
         a[...] = snapshot[n]
 
 
@@ -255,7 +249,7 @@ def _train_step(model: Model, optimizer: Adam, batch) -> tuple[float, int]:
     return loss.item(), int((logits.data.argmax(axis=1) == batch.labels).sum())
 
 
-def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = None, seed: int | None = None, out_dir=None):
+def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = None, *, out_dir=None):
     """Adam training with per-epoch evaluation and best-checkpoint retention.
 
     The best parameters are kept in memory and restored at the end; with
@@ -265,7 +259,6 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
     checkpoint and reports are written, and TrainingError is raised.
     """
     cfg = cfg or model.cfg
-    seed = cfg.seed if seed is None else seed
     protocol = f"fivefold:{cfg.fold}" if cfg.protocol == "fivefold" else cfg.protocol
     train_records, test_records = protocol_split(manifest, protocol)
 
@@ -276,7 +269,7 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
         out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    report = RunReport(config_text=config_to_text(cfg), seed=seed)
+    report = RunReport(config_text=config_to_text(cfg), seed=cfg.seed)
 
     def record_best(acc, epoch):
         nonlocal best
@@ -286,7 +279,7 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
             report.best_test_acc = acc
 
     best = None
-    acc0, _ = evaluate(model, test_records, cfg.batch_size)
+    acc0, _ = evaluate(model, test_records)
     report.epochs.append(EpochStats(0, None, None, acc0, optimizer.effective_lr()))
     record_best(acc0, 0)
 
@@ -296,7 +289,7 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
         loss_sum = 0.0
         hits = 0
         seen = 0
-        for batch in make_batches(train_records, cfg.batch_size, seed=_epoch_seed(seed, epoch)):
+        for batch in make_batches(train_records, cfg.batch_size, seed=_epoch_seed(cfg.seed, epoch)):
             if batch.labels.size < 2:
                 continue  # batchnorm train mode needs at least 2 samples
             try:
@@ -310,14 +303,14 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
         if failure:
             report.aborted = True
             break
-        test_acc, _ = evaluate(model, test_records, cfg.batch_size)
+        test_acc, _ = evaluate(model, test_records)
         report.epochs.append(
             EpochStats(epoch, loss_sum / max(seen, 1), hits / max(seen, 1), test_acc, optimizer.effective_lr())
         )
         record_best(test_acc, epoch)
 
     _restore(model, best[1])
-    stats = attention_weight_means(model, test_records, cfg.batch_size)
+    stats = attention_weight_means(model, test_records)
     if stats is not None:
         report.fm_weight_rgb_mean, report.fm_weight_depth_mean = stats
     report.wall_time_s = time.perf_counter() - started
@@ -413,8 +406,10 @@ def gradcheck(
     cover coordinates above ``GRADCHECK_REL_FLOOR``; below it the central-difference
     roundoff (~1e-11 at h=1e-5) dominates the quotient.
     """
-    cfg = gradcheck_config(variant)
-    model = build_model(cfg, seed)
+    if max_coords < 1:
+        raise ConfigError(f"gradcheck needs max_coords >= 1, got {max_coords}")
+    cfg = replace(gradcheck_config(variant), seed=seed)
+    model = build_model(cfg)
     rng = np.random.default_rng(seed + 1)
     b = max(2, cfg.batch_size)
     rgb = Tensor(rng.random((b, cfg.input_size, cfg.input_size, 3)))
@@ -517,7 +512,7 @@ def ablate(manifest: DatasetManifest, base_cfg: ModelConfig, seeds, out_csv=None
             cfg = replace(base_cfg, seed=seed, **overrides)
             key = config_to_text(cfg)
             if key not in reports:
-                reports[key], _ = train(build_model(cfg), manifest, cfg, seed)
+                reports[key], _ = train(build_model(cfg), manifest, cfg)
             report = reports[key]
             row.accs.append(report.best_test_acc)
             if report.fm_weight_rgb_mean is not None:

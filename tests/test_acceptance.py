@@ -227,7 +227,7 @@ def test_criterion_7_ablation_ordering(tmp_path_factory):
         accs = []
         for seed in seeds:
             cfg = dataclasses.replace(base, fusion=fusion, seed=seed)
-            report, _ = TR.train(build_model(cfg), complementary, cfg, seed)
+            report, _ = TR.train(build_model(cfg), complementary, cfg)
             accs.append(report.best_test_acc)
         means[fusion] = float(np.mean(accs))
     ordering_ok = means["two_level"] >= means["concat_only"] - 0.01
@@ -244,7 +244,7 @@ def test_criterion_7_ablation_ordering(tmp_path_factory):
     separated = 0
     for seed in seeds:
         cfg = dataclasses.replace(base, seed=seed)
-        report, _ = TR.train(build_model(cfg), noisy, cfg, seed)
+        report, _ = TR.train(build_model(cfg), noisy, cfg)
         gap = report.fm_weight_rgb_mean - report.fm_weight_depth_mean
         print(f"  noise-depth seed {seed}: rgb-depth attention gap {gap:+.4f}")
         separated += gap > 0

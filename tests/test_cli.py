@@ -121,6 +121,13 @@ def test_preprocess_augment_writes_what_one_expand_call_over_all_train_pairs_giv
         assert (out / rel).read_bytes() == (expected / rel).read_bytes(), rel
 
 
+def test_preprocess_to_a_size_below_one_pixel_exits_2_and_writes_nothing(tmp_path, synth_dir, capsys):
+    out = tmp_path / "proc"
+    code = main(["preprocess", "--in", str(synth_dir), "--out", str(out), "--size", "0"])
+    _assert_clean_exit(code, capsys, "at least 1 pixel")
+    assert not out.exists()
+
+
 def test_preprocess_with_a_corrupt_last_input_writes_nothing(tmp_path, synth_dir, capsys):
     raw = tmp_path / "raw"
     shutil.copytree(synth_dir, raw)
@@ -182,7 +189,7 @@ def test_embed_with_attention_out_runs_one_forward_per_batch(tmp_path, synth_dir
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(build_model(MICRO_CFG), ckpt)
     args = ["embed", "--checkpoint", str(ckpt), "--manifest", str(synth_dir / "manifest.csv")]
-    assert main(args + ["--out", str(tmp_path / "plain.csv")]) == 0  # extract_embedding per batch
+    assert main(args + ["--out", str(tmp_path / "plain.csv")]) == 0
 
     fused = {"n": 0}
     real_fuse = Model._fuse
@@ -233,6 +240,45 @@ def test_gradcheck_cli(capsys):
     assert main(["gradcheck", "--variant", "concat_only", "--max-coords", "10"]) == 0
     out = capsys.readouterr().out
     assert "PASS overall" in out
+
+
+def test_gradcheck_of_no_coordinates_is_a_clean_exit(capsys):
+    code = main(["gradcheck", "--variant", "concat_only", "--max-coords", "0"])
+    _assert_clean_exit(code, capsys, "max_coords")
+
+
+def test_train_on_a_config_with_no_classifier_width_is_a_clean_exit(tmp_path, synth_dir, capsys):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config_to_text(MICRO_CFG).replace("classifier_widths=10,8,6", "classifier_widths="))
+    run_dir = tmp_path / "run"
+    code = main(["train", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path), "--out", str(run_dir)])
+    _assert_clean_exit(code, capsys, "classifier widths")
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, match",
+    [
+        ("--noise-depth-classes", "x", "comma list of integers"),
+        ("--noise-rgb-classes", "x", "comma list of integers"),
+        ("--noise-depth-classes", "7", "outside 0..1"),
+        ("--noise-rgb-classes", "0,-1", "outside 0..1"),
+    ],
+)
+def test_synth_with_a_bad_class_list_is_a_clean_exit(tmp_path, capsys, flag, value, match):
+    out = tmp_path / "synth"
+    code = main(["synth", "--classes", "2", "--per-class", "3", "--size", "16", flag, value, "--out", str(out)])
+    _assert_clean_exit(code, capsys, match)
+    assert not out.exists()
+
+
+def test_ablate_with_a_bad_seed_list_is_a_clean_exit(tmp_path, synth_dir, capsys):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config_to_text(MICRO_CFG))
+    args = ["ablate", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path)]
+    code = main(args + ["--seeds", "a", "--out", str(tmp_path / "ablation.csv")])
+    _assert_clean_exit(code, capsys, "--seeds")
+    assert not (tmp_path / "ablation.csv").exists()
 
 
 def test_ablate_cli_single_seed(tmp_path, synth_dir, monkeypatch):

@@ -100,6 +100,13 @@ def test_config_validation_errors():
         M.config_from_text("classes=abc\n")
 
 
+def test_config_text_with_no_classifier_width_is_refused(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text(M.config_to_text(tiny_cfg()).replace("classifier_widths=8,6,4", "classifier_widths="))
+    with pytest.raises(ConfigError, match="classifier widths"):
+        M.load_config(path)
+
+
 def test_desk_scale_fused_shape():
     cfg = M.ModelConfig()
     assert cfg.feature_extent == 7
@@ -320,7 +327,7 @@ def test_loaded_model_draws_the_same_dropout_masks_as_a_built_one(tmp_path):
     for _ in range(3):  # consecutive train-mode passes draw consecutive masks
         want = fresh.forward(rgb, depth, "train").data
         assert np.array_equal(loaded.forward(rgb, depth, "train").data, want)
-    for (name, a), (_, b) in zip(loaded.state_arrays(), fresh.state_arrays()):
+    for (name, a), b in zip(loaded.arrays().items(), fresh.arrays().values()):
         assert np.array_equal(a, b), name
 
 
@@ -380,8 +387,8 @@ def test_checkpoint_missing_record_names_entry(tmp_path, monkeypatch):
     model = M.build_model(cfg)
     path = tmp_path / "model.ckpt"
 
-    real_records = M._checkpoint_records
-    monkeypatch.setattr(M, "_checkpoint_records", lambda m: real_records(m)[1:])
+    real_arrays = M.Model.arrays
+    monkeypatch.setattr(M.Model, "arrays", lambda m: dict(list(real_arrays(m).items())[1:]))
     M.save_checkpoint(model, path)
     monkeypatch.undo()
     dropped = model.parameters()[0][0]
@@ -392,8 +399,8 @@ def test_checkpoint_missing_record_names_entry(tmp_path, monkeypatch):
 def test_checkpoint_extra_optimizer_record_names_entry(tmp_path, monkeypatch):
     model = M.build_model(tiny_cfg())
     path = tmp_path / "model.ckpt"
-    real_records = M._checkpoint_records
-    monkeypatch.setattr(M, "_checkpoint_records", lambda m: real_records(m) + [("adam.t", T.Tensor(3.0))])
+    real_arrays = M.Model.arrays
+    monkeypatch.setattr(M.Model, "arrays", lambda m: real_arrays(m) | {"adam.t": np.array(3.0)})
     M.save_checkpoint(model, path)
     monkeypatch.undo()
     with pytest.raises(CheckpointError, match=r"'adam\.t'"):
@@ -449,11 +456,11 @@ def test_checkpoint_size_arithmetic(tmp_path):
 
     config_len = len(M.config_to_text(cfg).encode())
     expected = 4 + 4 + 4 + config_len + 8 + 4
-    for name, t in model.parameters() + [(n, T.Tensor(a)) for n, a in model.state_arrays()]:
+    for name, a in model.arrays().items():
         expected += 4 + len(name.encode())
-        expected += 4 + 1 + 8 * t.ndim + 8 * t.size
+        expected += 4 + 1 + 8 * a.ndim + 8 * a.size
     assert path.stat().st_size == expected
-    params_and_state = M.parameter_count(cfg) + sum(a.size for _, a in model.state_arrays())
+    params_and_state = M.parameter_count(cfg) + 2 * sum(cfg.classifier_widths)  # + bn running stats
     assert path.stat().st_size > 8 * params_and_state
 
 

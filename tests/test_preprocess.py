@@ -169,6 +169,15 @@ def test_crop_too_small_is_data_error():
         P.crop_resize(np.zeros((1, 5), dtype=np.uint8), 4)
 
 
+@pytest.mark.parametrize("target", [0, -3])
+def test_resize_target_below_one_pixel_is_config_error(target):
+    img = np.zeros((6, 6, 3), dtype=np.uint8)
+    with pytest.raises(ConfigError, match="at least 1 pixel"):
+        P.resize_bilinear(img, target)
+    with pytest.raises(ConfigError, match="at least 1 pixel"):
+        P.crop_resize(img, target)
+
+
 def test_pair_crop_alignment():
     rng = np.random.default_rng(6)
     rgb = rng.integers(0, 256, size=(12, 16, 3), dtype=np.uint8)

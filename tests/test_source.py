@@ -1,11 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import rgbdfuse
 
 PACKAGE = Path(rgbdfuse.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def _open_mode(call: ast.Call):
@@ -47,3 +50,20 @@ def test_every_file_the_package_writes_goes_through_atomic_write():
             if isinstance(node, ast.Call) and id(node) not in allowed and _writes(node):
                 offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not offenders, "files opened for writing outside atomic_write:\n" + "\n".join(offenders)
+
+
+def test_every_name_the_bench_tracer_wraps_exists_with_the_kind_it_names():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    kinds = {
+        "fn": lambda obj: callable(obj) and not inspect.isgeneratorfunction(obj),
+        "classmethod": lambda obj: isinstance(obj, classmethod),
+        "generator": inspect.isgeneratorfunction,
+    }
+    wrong = []
+    for kind, owner, attr, _ in tracer.WRAPS:
+        found = vars(tracer._resolve(owner)).get(attr)
+        if found is None or not kinds[kind](found):
+            wrong.append(f"{owner}.{attr}: want {kind}, found {found!r}")
+    assert not wrong, "bench/tracer.py WRAPS entries the package no longer matches:\n" + "\n".join(wrong)

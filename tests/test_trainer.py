@@ -1,5 +1,7 @@
 """Adam arithmetic, training loop behavior, gradcheck, ablation plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,11 +172,12 @@ def test_evaluate_perfect_stub(tmp_path):
 
 
 def test_evaluate_invariant_to_order_and_batch_size(micro_manifest):
-    cfg = micro_cfg(classes=micro_manifest.class_count, seed=5)
+    cfg = micro_cfg(classes=micro_manifest.class_count, seed=5, batch_size=4)
     model = build_model(cfg)
     records = micro_manifest.records
-    acc1, conf1 = TR.evaluate(model, records, batch_size=4)
-    acc2, conf2 = TR.evaluate(model, list(reversed(records)), batch_size=7)
+    acc1, conf1 = TR.evaluate(model, records)
+    model.cfg = replace(cfg, batch_size=7)
+    acc2, conf2 = TR.evaluate(model, list(reversed(records)))
     assert acc1 == acc2
     assert np.array_equal(conf1, conf2)
 
@@ -252,9 +255,9 @@ def test_train_writes_the_best_checkpoint_once(tmp_path, separable_manifest, mon
     saved = []
     real_evaluate, real_save = TR.evaluate, TR.save_checkpoint
 
-    def recording_evaluate(model, records, batch_size=None):
+    def recording_evaluate(model, records):
         evaluated.append({n: p.data.copy() for n, p in model.parameters()})
-        return real_evaluate(model, records, batch_size)
+        return real_evaluate(model, records)
 
     def counted_save(*args, **kwargs):
         saved.append(kwargs["epoch"])
@@ -393,9 +396,9 @@ def test_ablate_trains_each_distinct_config_once_per_seed(tmp_path, micro_manife
     real_train = TR.train
     seeds_trained = []
 
-    def counting_train(model, manifest, run_cfg, seed):
-        seeds_trained.append(seed)
-        return real_train(model, manifest, run_cfg, seed)
+    def counting_train(model, manifest, run_cfg):
+        seeds_trained.append(run_cfg.seed)
+        return real_train(model, manifest, run_cfg)
 
     monkeypatch.setattr(TR, "train", counting_train)
     TR.ablate(micro_manifest, cfg, seeds=[0, 1], out_csv=tmp_path / "ablation.csv")
