@@ -50,8 +50,6 @@ class FeatureMapAttention:
     score: DenseLayer
     lstm_stack: list = field(default_factory=list)
     blstm_bwd: LstmLayer | None = None
-    activation: str = "sigmoid"
-    transposed: bool = False
     bypass: bool = False
 
     @classmethod
@@ -64,8 +62,6 @@ class FeatureMapAttention:
         hidden: int = 64,
         n_layers: int = 1,
         blstm: bool = False,
-        activation: str = "sigmoid",
-        transposed: bool = False,
     ) -> "FeatureMapAttention":
         if variant not in FM_VARIANTS:
             raise ConfigError(f"feature-map attention variant must be one of {FM_VARIANTS}, got {variant!r}")
@@ -78,11 +74,6 @@ class FeatureMapAttention:
         bwd = None
         if variant == "dense_only":
             score = DenseLayer.init(m2, 1, rng)
-        elif transposed:
-            # alternative orientation: M^2 steps of width C; the final hidden
-            # state is mapped to one score per channel
-            stack = [LstmLayer.init(channels if i == 0 else hidden, hidden, rng) for i in range(n_layers)]
-            score = DenseLayer.init(hidden, channels, rng)
         else:
             stack = [LstmLayer.init(m2 if i == 0 else hidden, hidden, rng) for i in range(n_layers)]
             if blstm:
@@ -90,7 +81,7 @@ class FeatureMapAttention:
                 score = DenseLayer.init(2 * hidden, 1, rng)
             else:
                 score = DenseLayer.init(hidden, 1, rng)
-        return cls(variant, channels, map_extent, score, stack, bwd, activation, transposed)
+        return cls(variant, channels, map_extent, score, stack, bwd)
 
     def parameters(self):
         out = []
@@ -102,12 +93,7 @@ class FeatureMapAttention:
         return out
 
     def _scores(self, f: Tensor) -> Tensor:
-        b, m, _, c = f.shape
-        if self.transposed and self.lstm_stack:  # dense_only has no stack and ignores the orientation
-            hs = T.transpose(T.reshape(f, (b, m * m, c)), (1, 0, 2))  # [M^2, B, C]
-            for layer in self.lstm_stack:
-                hs = lstm_forward(layer, hs)
-            return dense_forward(self.score, T.take(hs, m * m - 1))  # last step [B, H]
+        b, _, _, c = f.shape
         hs = reshape_to_map_sequence(f)  # [C, B, M^2]; dense_only scores it directly
         if self.blstm_bwd is not None:
             hs = blstm_forward(self.lstm_stack[0], self.blstm_bwd, hs)
@@ -137,7 +123,7 @@ def feature_map_attention(att: FeatureMapAttention, f: Tensor):
     if att.bypass:
         weights = Tensor(np.ones((b, c)))
     else:
-        weights = T.activation(att._scores(f), att.activation)
+        weights = T.sigmoid(att._scores(f))
     return weights, T.broadcast_mul_channel(f, weights)
 
 

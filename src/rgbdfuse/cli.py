@@ -42,6 +42,11 @@ def _parse_class_list(raw: str, n_classes: int, flag: str):
     return classes
 
 
+def _check_class_count(cfg, manifest) -> None:
+    if manifest.class_count != cfg.classes:
+        raise ConfigError(f"config says {cfg.classes} classes but manifest has {manifest.class_count}")
+
+
 def cmd_synth(args) -> int:
     noise_depth = _parse_class_list(args.noise_depth_classes, args.classes, "--noise-depth-classes")
     noise_rgb = _parse_class_list(args.noise_rgb_classes, args.classes, "--noise-rgb-classes")
@@ -61,6 +66,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     manifest = load_manifest(Path(args.in_dir) / "manifest.csv")
     if args.augment and all(r.split != "train" for r in manifest.records):
         raise DataError("--augment needs at least one train pair")
@@ -105,8 +112,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     manifest = load_manifest(args.manifest)
-    if manifest.class_count != cfg.classes:
-        raise ConfigError(f"config says {cfg.classes} classes but manifest has {manifest.class_count}")
+    _check_class_count(cfg, manifest)
     model = build_model(cfg)
     report, ckpt = train(model, manifest, cfg, out_dir=args.out)
     print(f"best test accuracy {report.best_test_acc:.4f} at epoch {report.best_epoch}")
@@ -128,6 +134,7 @@ def _select_records(manifest, split: str):
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
+    _check_class_count(model.cfg, manifest)
     records = _select_records(manifest, args.split)
     accuracy, confusion = evaluate(model, records)
     print(f"rank-1 accuracy {accuracy:.4f} over {len(records)} records (split={args.split})")
@@ -149,8 +156,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     manifest = load_manifest(args.manifest)
-    if manifest.class_count != cfg.classes:
-        raise ConfigError(f"config says {cfg.classes} classes but manifest has {manifest.class_count}")
+    _check_class_count(cfg, manifest)
     seeds = _parse_int_list(args.seeds, "--seeds")
     rows = ablate(manifest, cfg, seeds, out_csv=args.out)
     for row in rows:

@@ -213,6 +213,8 @@ def generate_synthetic(
         raise ConfigError(f"size must be >= 16, got {size}")
     if per_class < 2:
         raise ConfigError(f"need at least 2 samples per class, got {per_class}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

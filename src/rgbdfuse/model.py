@@ -47,8 +47,6 @@ class ModelConfig:
     lstm_hidden: int = 64
     lstm_layers: int = 1
     blstm: bool = False
-    attention_activation: str = "sigmoid"
-    transposed_sequence: bool = False
     attention_bypass: bool = False
     classifier_widths: tuple = (2048, 1024, 512)
     classes: int = 10
@@ -88,10 +86,12 @@ class ModelConfig:
             raise ConfigError(f"input size {self.input_size} is below 2^{len(self.backbone_widths)} stages")
         if self.lstm_hidden < 1:
             raise ConfigError(f"lstm_hidden must be >= 1, got {self.lstm_hidden}")
-        if self.attention_activation not in T.ACTIVATIONS:
-            raise ConfigError(
-                f"attention_activation must be one of {T.ACTIVATIONS}, got {self.attention_activation!r}"
-            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
     @property
     def feature_extent(self) -> int:
@@ -123,7 +123,13 @@ def config_to_text(cfg: ModelConfig) -> str:
 
 
 # Keys of removed fields, each with the one value every file written while it existed holds.
-RETIRED_KEYS = {"share_backbones": "false", "classifier_input": "flatten", "decay_per_step": "false"}
+RETIRED_KEYS = {
+    "share_backbones": "false",
+    "classifier_input": "flatten",
+    "decay_per_step": "false",
+    "attention_activation": "sigmoid",
+    "transposed_sequence": "false",
+}
 
 
 def config_from_text(text: str) -> ModelConfig:
@@ -167,8 +173,12 @@ def config_from_text(text: str) -> ModelConfig:
 
 
 def load_config(path) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return config_from_text(text)
 
 
 def save_config(path, cfg: ModelConfig) -> None:
@@ -227,8 +237,6 @@ class Model:
                     hidden=cfg.lstm_hidden,
                     n_layers=cfg.lstm_layers,
                     blstm=cfg.blstm,
-                    activation=cfg.attention_activation,
-                    transposed=cfg.transposed_sequence,
                 )
                 model.fm_attention.bypass = cfg.attention_bypass
             if cfg.fusion in ("spatial_only", "two_level"):
@@ -359,7 +367,6 @@ def parameter_count(cfg: ModelConfig) -> int:
         return 4 * (n_in * hidden + hidden * hidden + hidden)
 
     m2 = cfg.feature_extent * cfg.feature_extent
-    c = cfg.fused_channels
     h = cfg.lstm_hidden
 
     total = 0
@@ -368,8 +375,6 @@ def parameter_count(cfg: ModelConfig) -> int:
         if cfg.fusion in ("feature_map_only", "two_level"):
             if cfg.fm_variant == "dense_only":
                 total += m2 * 1 + 1
-            elif cfg.transposed_sequence:
-                total += lstm(c, h) + (cfg.lstm_layers - 1) * lstm(h, h) + h * c + c
             elif cfg.blstm:
                 total += 2 * lstm(m2, h) + 2 * h + 1
             else:
@@ -455,10 +460,17 @@ def _read_records(fh, count, read) -> None:
             raise CheckpointError(f"bad tensor record {name!r}: {exc}") from exc
 
 
+def _open_checkpoint(path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot open checkpoint {path}: {exc}") from exc
+
+
 def read_checkpoint(path):
     """Parse a checkpoint; returns (config, epoch, ordered dict name -> array)."""
     records = {}
-    with open(path, "rb") as fh:
+    with _open_checkpoint(path) as fh:
         cfg, epoch, count = _read_header(fh)
 
         def keep(name, dims):
@@ -477,7 +489,7 @@ def load_checkpoint(path) -> Model:
     cannot fit in the rest of the file is refused before anything is allocated.
     """
     loaded = set()
-    with open(path, "rb") as fh:
+    with _open_checkpoint(path) as fh:
         cfg, _, count = _read_header(fh)
         need, left = 8 * parameter_count(cfg), os.fstat(fh.fileno()).st_size - fh.tell()
         if need > left:

@@ -204,15 +204,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data / b.data, (a, b), bwd)
 
 
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-
-    def bwd(g):
-        x._accum(g * y)
-
-    return _node(y, (x,), bwd)
-
-
 def sqrt(x: Tensor) -> Tensor:
     y = np.sqrt(x.data)
 
@@ -250,36 +241,6 @@ def relu(x: Tensor) -> Tensor:
         x._accum(g * mask, owned=True)
 
     return _node(np.where(mask, x.data, 0.0), (x,), bwd)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by max subtraction."""
-    if x.shape[-1] < 1:
-        raise ShapeError("softmax requires last axis length >= 1")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
-    s = np.maximum(s, _SIG_LO)
-
-    def bwd(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        x._accum(s * (g - inner))
-
-    return _node(s, (x,), bwd)
-
-
-ACTIVATIONS = ("sigmoid", "relu", "softmax")
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Dispatch by name, one of ``ACTIVATIONS``: sigmoid, relu, or softmax over the last axis."""
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "relu":
-        return relu(x)
-    if kind == "softmax":
-        return softmax(x)
-    raise ConfigError(f"unknown activation kind {kind!r}")
 
 
 # -- reductions and shape ops --------------------------------------------

@@ -337,7 +337,6 @@ GRADCHECK_VARIANTS = {
     "lstm2": {"lstm_layers": 2},
     "lstm3": {"lstm_layers": 3},
     "blstm": {"blstm": True},
-    "transposed": {"transposed_sequence": True},
 }
 
 
@@ -504,12 +503,16 @@ def ablate(manifest: DatasetManifest, base_cfg: ModelConfig, seeds, out_csv=None
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("ablate needs at least one seed")
+    # every run's config is built, and so checked, before the first run starts
+    grid = [
+        (table, variant, [replace(base_cfg, seed=s, **overrides) for s in seeds])
+        for table, variant, overrides in ABLATION_GRID
+    ]
     rows = []
     reports = {}  # config text -> RunReport
-    for table, variant, overrides in ABLATION_GRID:
+    for table, variant, cfgs in grid:
         row = AblationRow(table, variant, seeds, [], [], [])
-        for seed in seeds:
-            cfg = replace(base_cfg, seed=seed, **overrides)
+        for cfg in cfgs:
             key = config_to_text(cfg)
             if key not in reports:
                 reports[key], _ = train(build_model(cfg), manifest, cfg)

@@ -97,8 +97,6 @@ def test_fm_weights_strictly_in_unit_interval():
         {"n_layers": 2},
         {"n_layers": 3},
         {"blstm": True},
-        {"transposed": True},
-        {"activation": "softmax"},
     ],
 )
 def test_fm_variants_shapes_and_gradients(kw):
@@ -159,12 +157,6 @@ def test_fm_batched_matches_per_sample():
         w1, r1 = A.feature_map_attention(att, T.Tensor(f[b]))
         assert np.allclose(weights.data[b], w1.data, atol=1e-15)
         assert np.allclose(refined.data[b], r1.data, atol=1e-15)
-
-
-def test_fm_softmax_weights_sum_to_one():
-    att = fm_init(4, 2, seed=14, activation="softmax")
-    w, _ = A.feature_map_attention(att, T.Tensor(np.random.default_rng(15).random((2, 2, 4))))
-    assert abs(w.data.sum() - 1.0) < 1e-12
 
 
 def test_fm_init_validation():

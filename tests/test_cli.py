@@ -434,3 +434,78 @@ def test_a_write_failing_part_way_keeps_the_previous_file(tmp_path, synth_dir, m
         write()
     assert [p.read_bytes() for p in outputs] == before
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("command, name", [("eval", "nope.ckpt"), ("embed", "nope.ckpt"), ("eval", ".")])
+def test_a_checkpoint_that_cannot_be_opened_is_a_clean_exit(tmp_path, synth_dir, capsys, command, name):
+    path = tmp_path / name  # a missing file, or a directory
+    args = [command, "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")]
+    code = main(args + (["--out", str(tmp_path / "emb.csv")] if command == "embed" else []))
+    _assert_clean_exit(code, capsys, f"cannot open checkpoint {path}")
+    assert not (tmp_path / "emb.csv").exists()
+
+
+@pytest.mark.parametrize("content", [None, b"classes=3\xff\n"], ids=["missing", "not-utf8"])
+def test_a_config_that_cannot_be_read_is_a_clean_exit_that_writes_nothing(tmp_path, synth_dir, capsys, content):
+    path, run_dir = tmp_path / "config.txt", tmp_path / "run"
+    if content is not None:
+        path.write_bytes(content)
+    code = main(["train", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(path), "--out", str(run_dir)])
+    _assert_clean_exit(code, capsys, f"cannot read config {path}")
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "config_line, extra, match",
+    [
+        ("", ["--seed", "-1"], "seed"),
+        ("batch_size=0", [], "batch_size"),
+        ("epochs=-2", [], "epochs"),
+    ],
+    ids=["seed", "batch_size", "epochs"],
+)
+def test_train_with_a_negative_seed_an_empty_batch_or_negative_epochs_writes_nothing(
+    tmp_path, synth_dir, capsys, config_line, extra, match
+):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config_to_text(MICRO_CFG) + config_line + "\n")
+    run_dir = tmp_path / "run"
+    args = ["train", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path), "--out", str(run_dir)]
+    _assert_clean_exit(main(args + extra), capsys, match)
+    assert not run_dir.exists()
+
+
+def test_ablate_with_a_negative_seed_is_a_clean_exit_before_any_run(tmp_path, synth_dir, capsys, monkeypatch):
+    from rgbdfuse import trainer
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(trainer, "train", no_training)
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config_to_text(MICRO_CFG))
+    args = ["ablate", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path)]
+    code = main(args + ["--seeds", "0,-1", "--out", str(tmp_path / "ablation.csv")])
+    _assert_clean_exit(code, capsys, "seed")
+    assert not (tmp_path / "ablation.csv").exists()
+
+
+def test_synth_with_a_negative_seed_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "synth"
+    code = main(["synth", "--classes", "2", "--per-class", "3", "--size", "16", "--seed", "-1", "--out", str(out)])
+    _assert_clean_exit(code, capsys, "seed")
+    assert not out.exists()
+
+
+def test_preprocess_with_a_negative_seed_writes_nothing(tmp_path, synth_dir, capsys):
+    out = tmp_path / "proc"
+    code = main(["preprocess", "--in", str(synth_dir), "--out", str(out), "--size", "16", "--augment", "--seed", "-1"])
+    _assert_clean_exit(code, capsys, "--seed")
+    assert not out.exists()
+
+
+def test_eval_on_a_manifest_of_another_class_count_is_a_clean_exit(tmp_path, synth_dir, capsys):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(build_model(dataclasses.replace(MICRO_CFG, classes=2)), path)
+    code = main(["eval", "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")])
+    _assert_clean_exit(code, capsys, "config says 2 classes but manifest has 3")

@@ -42,10 +42,18 @@ def test_config_text_round_trip():
     assert back == cfg
 
 
-def old_config_text(cfg, share_backbones="false", classifier_input="flatten", decay_per_step="false"):
-    """``cfg``'s text as written before the three retired keys were removed, each at its old place."""
+def old_config_text(
+    cfg,
+    share_backbones="false",
+    classifier_input="flatten",
+    decay_per_step="false",
+    attention_activation="sigmoid",
+    transposed_sequence="false",
+):
+    """``cfg``'s text as written before the retired keys were removed, each at its old place."""
     after = {
         "backbone_widths": f"share_backbones={share_backbones}",
+        "blstm": f"attention_activation={attention_activation}\ntransposed_sequence={transposed_sequence}",
         "classifier_widths": f"classifier_input={classifier_input}",
         "lr_decay": f"decay_per_step={decay_per_step}",
     }
@@ -63,7 +71,14 @@ def test_config_with_retired_keys_at_their_old_values_parses():
 
 
 @pytest.mark.parametrize(
-    "retired", [{"share_backbones": "true"}, {"classifier_input": "pool"}, {"decay_per_step": "true"}]
+    "retired",
+    [
+        {"share_backbones": "true"},
+        {"classifier_input": "pool"},
+        {"decay_per_step": "true"},
+        {"attention_activation": "softmax"},
+        {"transposed_sequence": "true"},
+    ],
 )
 def test_config_with_a_retired_key_at_another_value_is_config_error(tmp_path, retired):
     path = tmp_path / "config.txt"
@@ -152,8 +167,8 @@ def test_build_desk_scale_concat_shape():
         {"lstm_layers": 2},
         {"lstm_layers": 3},
         {"blstm": True},
-        {"transposed_sequence": True},
-        {"transposed_sequence": True, "lstm_layers": 2},
+        {"fusion": "feature_map_only", "blstm": True},
+        {"fm_variant": "dense_only", "spatial_variant": "dense"},
         {"modality": "rgb"},
         {"modality": "depth"},
         {"fusion": "spatial_only", "spatial_variant": "dense"},
@@ -164,18 +179,6 @@ def test_parameter_count_oracle_matches_build(overrides):
     model = M.build_model(cfg)
     built = sum(p.size for _, p in model.parameters())
     assert built == M.parameter_count(cfg), overrides
-
-
-def test_dense_only_ignores_transposed_sequence():
-    cfg = tiny_cfg(fm_variant="dense_only", transposed_sequence=True)
-    model = M.build_model(cfg)
-    assert sum(p.size for _, p in model.parameters()) == M.parameter_count(cfg)
-    rgb, depth = tiny_batch(cfg)
-    stages = model.forward_features(rgb, depth)
-    assert stages["fm_weights"].shape == (2, cfg.fused_channels)
-    assert stages["logits"].shape == (2, cfg.classes)
-    plain = M.build_model(tiny_cfg(fm_variant="dense_only")).forward_features(rgb, depth)
-    assert np.array_equal(stages["logits"].data, plain["logits"].data)
 
 
 # -- forward ----------------------------------------------------------------------
@@ -309,7 +312,8 @@ def test_checkpoint_with_retired_config_keys_loads(tmp_path):
     path = tmp_path / "model.ckpt"
     M.save_checkpoint(model, path)
     with_config_text(path, old_config_text(cfg))
-    assert b"share_backbones=false" in path.read_bytes()
+    for key, value in M.RETIRED_KEYS.items():
+        assert f"{key}={value}".encode() in path.read_bytes()
     rgb, depth = tiny_batch(cfg)
     restored = M.load_checkpoint(path)
     assert restored.cfg == cfg
@@ -464,17 +468,18 @@ def test_checkpoint_size_arithmetic(tmp_path):
     assert path.stat().st_size > 8 * params_and_state
 
 
-def test_config_validation_rejects_degenerate_sizes_and_unknown_activation():
+def test_config_validation_rejects_degenerate_values():
     for overrides in (
         dict(input_size=0),
         dict(input_size=-4),
         dict(lstm_hidden=0),
-        dict(attention_activation="swish"),
-        dict(attention_activation="swish", attention_bypass=True),
+        dict(seed=-1),
+        dict(batch_size=0),
+        dict(epochs=-2),
     ):
         with pytest.raises(ConfigError):
             tiny_cfg(**overrides)
-    tiny_cfg(epochs=0, attention_activation="softmax")
+    tiny_cfg(epochs=0, seed=0)
 
 
 @pytest.mark.parametrize("where", ["config", "record name"])

@@ -6,9 +6,18 @@ import inspect
 from pathlib import Path
 
 import rgbdfuse
+from rgbdfuse.model import ModelConfig, build_model
 
 PACKAGE = Path(rgbdfuse.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+OUTPUT_HASHES = Path(__file__).resolve().parents[1] / "scripts" / "output_hashes.py"
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _open_mode(call: ast.Call):
@@ -53,9 +62,7 @@ def test_every_file_the_package_writes_goes_through_atomic_write():
 
 
 def test_every_name_the_bench_tracer_wraps_exists_with_the_kind_it_names():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load(TRACER, "bench_tracer")
     kinds = {
         "fn": lambda obj: callable(obj) and not inspect.isgeneratorfunction(obj),
         "classmethod": lambda obj: isinstance(obj, classmethod),
@@ -67,3 +74,18 @@ def test_every_name_the_bench_tracer_wraps_exists_with_the_kind_it_names():
         if found is None or not kinds[kind](found):
             wrong.append(f"{owner}.{attr}: want {kind}, found {found!r}")
     assert not wrong, "bench/tracer.py WRAPS entries the package no longer matches:\n" + "\n".join(wrong)
+
+
+def test_output_hashes_names_every_output_of_a_config_once_and_repeats_itself(capsys):
+    script = _load(OUTPUT_HASHES, "output_hashes")
+    assert script.main(["bypass"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split(" ")[0] for line in lines]
+    assert len(set(names)) == len(names)
+    assert all(len(line.split(" ")[1]) == 64 for line in lines)
+    model = build_model(ModelConfig(**script.BASE, **script.CONFIGS["bypass"]))
+    assert {"bypass/logits", "bypass/stage/spatial_weights"} <= set(names)
+    assert {n for n in names if "/grad/" in n} == {f"bypass/grad/{n}" for n, _ in model.parameters()}
+    assert {n for n in names if "/array/" in n} == {f"bypass/array/{n}" for n in model.arrays()}
+    assert script.main(["bypass"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines

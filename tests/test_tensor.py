@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rgbdfuse import tensor as T
-from rgbdfuse.errors import ConfigError, DataError, ShapeError, UsageError
+from rgbdfuse.errors import DataError, ShapeError, UsageError
 
 
 def rel_err(a, b):
@@ -341,37 +341,10 @@ def test_sigmoid_matches_three_exp_formula():
     assert np.array_equal(T.sigmoid(T.Tensor(d)).data, expected)
 
 
-def test_softmax_uniform():
-    out = T.softmax(T.Tensor([0.0, 0.0, 0.0]))
-    assert np.allclose(out.data, 1.0 / 3.0, atol=1e-15)
-
-
-@given(st.lists(st.floats(-50, 50), min_size=2, max_size=8), st.integers(1, 3))
-@settings(max_examples=50, deadline=None)
-def test_softmax_rows_sum_to_one(row, rows):
-    x = T.Tensor(np.tile(row, (rows, 1)))
-    out = T.softmax(x)
-    assert np.all(np.abs(out.data.sum(axis=-1) - 1.0) < 1e-12)
-    assert np.all(out.data > 0.0)
-
-
 def test_sigmoid_gradient_tight():
     x = T.parameter(np.random.default_rng(17).standard_normal(6))
     g = T.Tensor(np.random.default_rng(18).standard_normal(6))
     check_grad(lambda: T.tsum(T.sigmoid(x) * g), [x], 1e-7)
-
-
-def test_softmax_gradients():
-    x = T.parameter(np.random.default_rng(19).standard_normal((3, 5)))
-    g = T.Tensor(np.random.default_rng(20).standard_normal((3, 5)))
-    check_grad(lambda: T.tsum(T.softmax(x) * g), [x], 1e-6)
-
-
-def test_activation_dispatch_and_unknown():
-    x = T.Tensor([1.0, -1.0])
-    assert np.array_equal(T.activation(x, "relu").data, [1.0, 0.0])
-    with pytest.raises(ConfigError):
-        T.activation(x, "swish")
 
 
 # -- cross entropy -----------------------------------------------------------
@@ -621,7 +594,6 @@ def test_all_finite_after_public_ops():
     for out in (
         T.conv2d(x, k, T.Tensor(np.zeros(2))),
         T.sigmoid(x),
-        T.softmax(T.reshape(x, (4, 12))),
         T.channel_pool(x, "max"),
     ):
         assert np.all(np.isfinite(out.data))
