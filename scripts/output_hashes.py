@@ -13,18 +13,24 @@ Only array shapes and bytes are hashed, never config or checkpoint text, so two
 revisions that compute the same numbers print the same lines, and ``diff`` of the
 two outputs names each artefact that moved:
 
-    PYTHONPATH=src python3 scripts/output_hashes.py > after.txt
+    python3 scripts/output_hashes.py > after.txt
+
+The script imports the package from the ``src/`` beside it, so it needs no
+``PYTHONPATH`` and always hashes the checkout it sits in.
 """
 
 import argparse
 import hashlib
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from rgbdfuse import tensor as T
-from rgbdfuse.model import ModelConfig, build_model
-from rgbdfuse.trainer import Adam
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from rgbdfuse import tensor as T  # noqa: E402
+from rgbdfuse.model import ModelConfig, build_model  # noqa: E402
+from rgbdfuse.trainer import Adam  # noqa: E402
 
 BASE = dict(
     input_size=16,

@@ -21,7 +21,7 @@ from .data import generate_synthetic, load_manifest, make_batches, write_manifes
 from .errors import CheckpointError, ConfigError, DataError, ShapeError, TrainingError, UsageError
 from .model import build_model, load_checkpoint, load_config
 from .preprocess import DepthImage, augment_expand, crop_resize, depth_clip_normalize
-from .tensor import atomic_write
+from .tensor import atomic_write, check_output_path, make_output_dir
 from .trainer import ablate, evaluate, gradcheck, train
 
 
@@ -86,7 +86,7 @@ def cmd_preprocess(args) -> int:
         processed.append((r, rgb, depth))
 
     out_dir = Path(args.out)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
+    make_output_dir(out_dir / "images")
 
     def write_pair(r, sample, rgb, depth):
         rgb_rel = f"images/{r.subject}_{sample}_rgb.ppm"
@@ -166,6 +166,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    for out in (args.out, args.attention_out):
+        if out:
+            check_output_path(out)
     model = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     records = _select_records(manifest, args.split)

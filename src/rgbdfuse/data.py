@@ -16,7 +16,7 @@ import numpy as np
 from . import netpbm
 from .errors import ConfigError, DataError
 from .preprocess import resize_bilinear
-from .tensor import Tensor, atomic_write
+from .tensor import Tensor, atomic_write, make_output_dir
 
 MANIFEST_COLUMNS = ("subject", "sample", "rgb", "depth", "split", "fold")
 
@@ -216,7 +216,7 @@ def generate_synthetic(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
+    make_output_dir(out_dir / "images")
     rng = np.random.default_rng(seed)
     noise_depth = set(noise_depth_classes)
     noise_rgb = set(noise_rgb_classes)

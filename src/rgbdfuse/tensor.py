@@ -11,8 +11,9 @@ Spatial data is channel-last with a leading batch axis (B x H x W x C). Ops
 that also take one sample (H x W x C) run it as a batch of one, through
 :func:`add_batch_axis` and :func:`drop_batch_axis`.
 
-The module also owns the package's file output: FTNS tensor io and
-:func:`atomic_write`, through which every file the package writes goes.
+The module also owns the package's file output: FTNS tensor io,
+:func:`atomic_write`, through which every file the package writes goes, and
+the output-path checks that turn an unusable ``--out`` into a ConfigError.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     def _grad_buffer(self) -> np.ndarray:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -97,9 +95,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self):
-        backward(self)
-
     # -- operator sugar -------------------------------------------------
 
     def __add__(self, other):
@@ -110,9 +105,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _lift(other))
 
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
 
@@ -120,24 +112,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _lift(value) -> Tensor:
@@ -597,15 +571,25 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.nda
     Accumulates into ``.grad`` of every reachable tensor that requires grad;
     any tensor in ``params`` left unreached receives a zero gradient. Returns
     a map from parameter tensor to its gradient array.
+
+    The sweep frees the graph as it goes: once a node's closure has run, the
+    node drops its closure and its parent links, so a node the caller does not
+    hold is freed with its data, its grad and the arrays its closure saved.
+    Tensors the caller holds keep their ``.grad``. A graph is swept once: a loss
+    that already holds a gradient raises UsageError.
     """
     if loss.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if loss.grad is not None:
+        raise UsageError("graph already swept: backward runs once per loss")
     order = _topo_order(loss)
-    loss._grad_buffer()
-    loss.grad += np.ones_like(loss.data)
-    for node in reversed(order):
+    loss.grad = np.ones_like(loss.data)
+    while order:
+        node = order.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        node._backward = None
+        node._parents = ()
     out: dict[Tensor, np.ndarray] = {}
     for p in params:
         out[p] = p._grad_buffer()
@@ -653,7 +637,9 @@ def write_tensor(stream, t: Tensor) -> None:
     stream.write(struct.pack("<B", t.ndim))
     for d in t.shape:
         stream.write(struct.pack("<Q", d))
-    stream.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    data = np.ascontiguousarray(t.data, dtype="<f8")
+    if data.size:  # no view casts an empty array
+        stream.write(memoryview(data).cast("B"))
 
 
 def read_tensor_header(stream) -> tuple[int, ...]:
@@ -709,6 +695,24 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def make_output_dir(path) -> None:
+    """Make the directory ``path`` and any missing parents; ConfigError if it cannot be made."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from exc
+
+
+def check_output_path(path) -> None:
+    """Raise ConfigError unless :func:`atomic_write` can make a file at ``path``: its
+    directory exists and ``path`` is not one. Call it before the work the file holds."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ConfigError(f"output directory {path.parent} does not exist")
+    if path.is_dir():
+        raise ConfigError(f"output {path} is a directory")
 
 
 def save_tensor(path, t: Tensor) -> None:

@@ -236,8 +236,8 @@ def _train_step(model: Model, optimizer: Adam, batch) -> tuple[float, int]:
     """One forward, backward and Adam update; returns (loss, correct predictions).
 
     A non-finite loss or gradient raises TrainingError before any parameter changes.
-    The step's graph dies on return, so it is not held through the next step or the
-    end-of-run writes.
+    The backward sweep frees each graph node once its closure has run; only ``loss``
+    and ``logits`` are held here, so the activations are gone before the Adam update.
     """
     logits = model.forward(batch.rgb, batch.depth, "train")
     loss = T.cross_entropy(logits, batch.labels)
@@ -266,7 +266,7 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
     out_dir = Path(out_dir) if out_dir is not None else None
     ckpt_path = out_dir / "best.ckpt" if out_dir else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        T.make_output_dir(out_dir)
 
     started = time.perf_counter()
     report = RunReport(config_text=config_to_text(cfg), seed=cfg.seed)
@@ -508,6 +508,8 @@ def ablate(manifest: DatasetManifest, base_cfg: ModelConfig, seeds, out_csv=None
         (table, variant, [replace(base_cfg, seed=s, **overrides) for s in seeds])
         for table, variant, overrides in ABLATION_GRID
     ]
+    if out_csv is not None:
+        T.check_output_path(out_csv)
     rows = []
     reports = {}  # config text -> RunReport
     for table, variant, cfgs in grid:

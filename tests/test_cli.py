@@ -509,3 +509,59 @@ def test_eval_on_a_manifest_of_another_class_count_is_a_clean_exit(tmp_path, syn
     save_checkpoint(build_model(dataclasses.replace(MICRO_CFG, classes=2)), path)
     code = main(["eval", "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")])
     _assert_clean_exit(code, capsys, "config says 2 classes but manifest has 3")
+
+
+@pytest.mark.parametrize("command", ["synth", "preprocess", "train"])
+def test_an_output_directory_that_is_a_file_is_a_clean_exit(tmp_path, synth_dir, capsys, command):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config_to_text(MICRO_CFG))
+    args = {
+        "synth": ["synth", "--classes", "2", "--per-class", "3", "--size", "16"],
+        "preprocess": ["preprocess", "--in", str(synth_dir), "--size", "16"],
+        "train": ["train", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path)],
+    }[command]
+    out = tmp_path / "run"
+    out.write_text("kept")
+    _assert_clean_exit(main(args + ["--out", str(out)]), capsys, "cannot make output directory")
+    assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize(
+    "flag, target, match",
+    [
+        ("--out", "missing/emb.csv", "output directory {tmp}/missing does not exist"),
+        ("--attention-out", "missing/att.csv", "output directory {tmp}/missing does not exist"),
+        ("--out", ".", "output {tmp} is a directory"),
+    ],
+    ids=["out-missing-dir", "attention-out-missing-dir", "out-is-a-dir"],
+)
+def test_embed_into_a_path_that_cannot_take_a_file_is_a_clean_exit(
+    tmp_path, synth_dir, capsys, monkeypatch, flag, target, match
+):
+    from rgbdfuse import cli
+
+    def no_load(path):
+        raise AssertionError("the checkpoint was read")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_load)
+    outputs = {"--out": str(tmp_path / "emb.csv"), flag: str(tmp_path / target)}
+    args = ["embed", "--checkpoint", str(tmp_path / "model.ckpt"), "--manifest", str(synth_dir / "manifest.csv")]
+    code = main(args + [a for pair in outputs.items() for a in pair])
+    _assert_clean_exit(code, capsys, match.format(tmp=tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ablate_into_a_missing_directory_is_a_clean_exit_before_any_run(tmp_path, synth_dir, capsys, monkeypatch):
+    from rgbdfuse import trainer
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(trainer, "train", no_training)
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config_to_text(MICRO_CFG))
+    out = tmp_path / "missing" / "ablation.csv"
+    args = ["ablate", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path)]
+    code = main(args + ["--seeds", "0", "--out", str(out)])
+    _assert_clean_exit(code, capsys, f"output directory {out.parent} does not exist")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt"]

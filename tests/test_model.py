@@ -468,6 +468,36 @@ def test_checkpoint_size_arithmetic(tmp_path):
     assert path.stat().st_size > 8 * params_and_state
 
 
+def test_checkpoint_records_are_the_tobytes_layout_of_any_array(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    records = {
+        "contiguous": rng.standard_normal((3, 4)),
+        "transposed": rng.standard_normal((4, 3)).T,
+        "empty": np.zeros((0, 5)),
+    }
+    assert not records["transposed"].flags.c_contiguous
+    model = M.build_model(tiny_cfg())
+    monkeypatch.setattr(M.Model, "arrays", lambda m: records)
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(model, path, epoch=2)
+
+    config = M.config_to_text(model.cfg).encode()
+    header = M.CHECKPOINT_MAGIC + struct.pack("<II", M.CHECKPOINT_VERSION, len(config)) + config
+    header += struct.pack("<QI", 2, len(records))
+    body = b""
+    for name, a in records.items():
+        body += struct.pack("<I", len(name)) + name.encode() + b"FTNS" + struct.pack("<B", a.ndim)
+        body += b"".join(struct.pack("<Q", d) for d in a.shape) + a.astype("<f8").tobytes()
+    assert path.read_bytes() == header + body
+
+    with open(path, "rb") as fh:
+        fh.seek(len(header))
+        for name, a in records.items():
+            assert fh.read(4 + len(name))[4:] == name.encode()
+            back = T.read_tensor(fh)
+            assert back.shape == a.shape and np.array_equal(back.data, a)
+
+
 def test_config_validation_rejects_degenerate_values():
     for overrides in (
         dict(input_size=0),

@@ -587,6 +587,79 @@ def test_gradients_never_alias_after_backward():
     assert np.array_equal(r.grad, np.ones(6))
 
 
+def _graph_nodes(root):
+    """Every tensor reachable from ``root`` through recorded parent links."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_backward_frees_every_closure_and_parent_link_and_keeps_held_grads():
+    rng = np.random.default_rng(33)
+    x = T.parameter(rng.standard_normal((2, 4, 4, 2)))
+    k = T.parameter(rng.standard_normal((3, 3, 2, 3)))
+    b = T.parameter(rng.standard_normal(3))
+    v = T.parameter(rng.standard_normal(12))
+    h = T.relu(T.maxpool2x2(T.conv2d(x, k, b)))
+    y = T.tanh(T.reshape(h, (2, 12)))
+    loss = T.tsum(T.concat([y * v, y], axis=0))
+    nodes = _graph_nodes(loss)
+    interior = [n for n in nodes if n._backward is not None]
+    assert len(interior) >= 8
+    T.backward(loss, [x, k, b, v])
+    for node in nodes:
+        assert node._backward is None
+        assert node._parents == ()
+    # grads of the leaves and of the interior tensors held here, by hand from y's
+    gy = v.data + 1.0
+    assert np.array_equal(y.grad, np.broadcast_to(gy, (2, 12)))
+    assert np.array_equal(v.grad, y.data.sum(axis=0))
+    assert np.allclose(h.grad.reshape(2, 12), gy * (1.0 - y.data**2), rtol=0, atol=1e-15)
+    for p in (x, k, b):
+        assert p.grad.shape == p.shape and np.all(np.isfinite(p.grad))
+
+
+def test_a_swept_graph_cannot_be_swept_again():
+    x = T.parameter(np.arange(3.0))
+    loss = T.tsum(T.mul(x, x))
+    T.backward(loss, [x])
+    x.zero_grad()
+    with pytest.raises(UsageError, match="already swept"):
+        T.backward(loss, [x])
+    assert x.grad is None
+
+
+def test_backward_frees_activations_held_only_by_the_graph():
+    size = 1 << 19  # 4 MB of float64 per activation
+    n = 8
+
+    def chain():
+        x = T.parameter(np.linspace(-1.0, 1.0, size))
+        y = x
+        for _ in range(n):
+            y = T.relu(y)
+        return x, T.tsum(y)
+
+    tracemalloc.start()
+    try:
+        x, loss = chain()
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        T.backward(loss, [x])
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    activations = 8 * size * n
+    assert before > activations  # the graph held every activation when the sweep began
+    assert peak - before < activations / 2  # interior grads die as the sweep passes them
+    assert after < before - activations / 2  # and so do the activations
+    assert np.array_equal(x.grad, (x.data > 0).astype(float))
+
+
 def test_all_finite_after_public_ops():
     rng = np.random.default_rng(26)
     x = T.Tensor(rng.standard_normal((4, 4, 3)) * 100)
