@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print a sha256 for every numeric output of a set of small models, one ``name sha256`` line each.
+"""Print a sha256 for every numeric output of a set of small models and of preprocessing, one ``name sha256`` line each.
 
 For each config it builds the model at a fixed seed, runs one train-mode forward
 on a fixed batch and hashes:
@@ -8,6 +8,11 @@ on a fixed batch and hashes:
 - ``<config>/grad/<parameter>``: each parameter's gradient of the cross-entropy loss;
 - ``<config>/stage/<name>``: each array ``forward_features`` returns;
 - ``<config>/array/<record>``: each ``arrays()`` record after one Adam step.
+
+The name ``preprocess`` hashes, on fixed seeded images: ``crop_resize`` of a uint8
+RGB image, ``depth_clip_normalize`` of a 16-bit depth map with holes, ``augment``
+of both under each kind at fixed parameters, ``resize_bilinear`` of a float
+template and the RGB and depth images of one ``generate_synthetic`` pair.
 
 Only array shapes and bytes are hashed, never config or checkpoint text, so two
 revisions that compute the same numbers print the same lines, and ``diff`` of the
@@ -22,13 +27,17 @@ The script imports the package from the ``src/`` beside it, so it needs no
 import argparse
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from rgbdfuse import netpbm  # noqa: E402
+from rgbdfuse import preprocess as P  # noqa: E402
 from rgbdfuse import tensor as T  # noqa: E402
+from rgbdfuse.data import generate_synthetic, load_manifest  # noqa: E402
 from rgbdfuse.model import ModelConfig, build_model  # noqa: E402
 from rgbdfuse.trainer import Adam  # noqa: E402
 
@@ -57,6 +66,13 @@ CONFIGS = {
 }
 
 BATCH = 4
+
+AUGMENTS = (
+    P.AugmentParams("rotation", rotation_deg=-23.5),
+    P.AugmentParams("shear", shear_deg=11.25),
+    P.AugmentParams("flip", flip=True),
+    P.AugmentParams("perspective", perspective_scale=0.65),
+)
 
 
 def digest(a) -> str:
@@ -87,15 +103,37 @@ def output_hashes(name: str):
         yield f"{name}/array/{record}", digest(a)
 
 
+def preprocess_hashes():
+    """Yield (artefact, sha256) for each preprocessing output named in the module docstring."""
+    rng = np.random.default_rng(13)
+    rgb = P.crop_resize(rng.integers(0, 256, size=(37, 45, 3), dtype=np.uint8), 24)
+    yield "preprocess/crop_resize", digest(rgb)
+    samples = rng.integers(400, 65536, size=(29, 31)).astype(np.uint16)
+    samples[rng.random(samples.shape) < 0.05] = 0
+    depth = P.depth_clip_normalize(P.DepthImage(samples))
+    yield "preprocess/depth_clip_normalize", digest(depth)
+    for params in AUGMENTS:
+        yield f"preprocess/augment/{params.kind}/rgb", digest(P.augment(rgb, params))
+        yield f"preprocess/augment/{params.kind}/depth", digest(P.augment(depth, params))
+    yield "preprocess/resize_bilinear", digest(P.resize_bilinear(rng.uniform(30.0, 225.0, size=(5, 5, 3)), 21))
+    with tempfile.TemporaryDirectory() as tmp:
+        record = load_manifest(generate_synthetic(tmp, classes=2, per_class=2, size=16, seed=5)).records[0]
+        yield "preprocess/synthetic/rgb", digest(netpbm.read_ppm(record.rgb))
+        yield "preprocess/synthetic/depth", digest(netpbm.read_pgm(record.depth))
+
+
+NAMES = (*CONFIGS, "preprocess")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("configs", nargs="*", help=f"any of {', '.join(CONFIGS)}; default: all")
+    parser.add_argument("names", nargs="*", help=f"any of {', '.join(NAMES)}; default: all")
     args = parser.parse_args(argv)
-    for name in args.configs:
-        if name not in CONFIGS:
-            parser.error(f"unknown config {name!r}")
-    for name in args.configs or CONFIGS:
-        for artefact, sha in output_hashes(name):
+    for name in args.names:
+        if name not in NAMES:
+            parser.error(f"unknown name {name!r}")
+    for name in args.names or NAMES:
+        for artefact, sha in preprocess_hashes() if name == "preprocess" else output_hashes(name):
             print(f"{artefact} {sha}")
     return 0
 

@@ -14,9 +14,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from rgbdfuse.data import generate_synthetic, load_manifest
-from rgbdfuse.model import ModelConfig
-from rgbdfuse.trainer import ablate
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from rgbdfuse.data import generate_synthetic, load_manifest  # noqa: E402
+from rgbdfuse.model import ModelConfig  # noqa: E402
+from rgbdfuse.trainer import ablate  # noqa: E402
 
 BASE = dict(
     input_size=32,

@@ -9,7 +9,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from rgbdfuse.cli import main as cli
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from rgbdfuse.cli import main as cli  # noqa: E402
 
 
 def run(args) -> int:

@@ -41,8 +41,11 @@ def nearest_rank_percentile(values: np.ndarray, p: float) -> int:
     ordered = np.sort(np.asarray(values).reshape(-1))
     if ordered.size == 0:
         raise DataError("percentile of an empty sample set")
-    rank = max(1, math.ceil(p / 100.0 * ordered.size))
-    return int(ordered[rank - 1])
+    return _nearest_rank(ordered, p)
+
+
+def _nearest_rank(ordered: np.ndarray, p: float) -> int:
+    return int(ordered[max(1, math.ceil(p / 100.0 * ordered.size)) - 1])
 
 
 def depth_clip_normalize(d: DepthImage) -> np.ndarray:
@@ -52,16 +55,16 @@ def depth_clip_normalize(d: DepthImage) -> np.ndarray:
     to 0 rather than failing.
     """
     samples = d.samples
-    nonzero = samples[samples > 0]
+    mask = samples > 0
+    nonzero = samples[mask]
     if nonzero.size == 0:
         raise DataError("depth image has no nonzero samples to clip against")
-    p25 = nearest_rank_percentile(nonzero, 25)
-    p90 = nearest_rank_percentile(nonzero, 90)
+    ordered = np.sort(nonzero)
+    p25, p90 = _nearest_rank(ordered, 25), _nearest_rank(ordered, 90)
     out = np.zeros(samples.shape, dtype=np.uint8)
     if p90 == p25:
         return out
-    mask = samples > 0
-    clipped = np.clip(samples[mask].astype(np.float64), p25, p90)
+    clipped = np.clip(nonzero.astype(np.float64), p25, p90)
     scaled = np.floor(255.0 * (clipped - p25) / (p90 - p25) + 0.5)
     out[mask] = scaled.astype(np.uint8)
     return out
@@ -73,44 +76,54 @@ def depth_clip_normalize(d: DepthImage) -> np.ndarray:
 def _sample_bilinear(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
     """Bilinear lookup at fractional coordinates; zero outside the source.
 
-    The source gets a one-pixel zero border and each tap's index is clamped into
-    it, so a tap outside the source reads 0.0 and every tap is one gather.
+    ``sy`` and ``sx`` broadcast against each other (a resize passes a column and
+    a row). The source gets a two-pixel zero border and the coordinates are
+    clamped to [-1.5, size + 0.5], so a tap outside the source reads 0.0: a
+    coordinate clamped there has both of its taps in the border, and its changed
+    weights only multiply zeros. Each tap is then one flat gather.
     """
     h, w = img.shape[:2]
-    padded = np.pad(img, ((1, 1), (1, 1)) + ((0, 0),) * (img.ndim - 2))
-    y0 = np.floor(sy).astype(np.int64)
-    x0 = np.floor(sx).astype(np.int64)
+    padded = np.zeros((h + 4, w + 4) + img.shape[2:], dtype=np.float64)
+    padded[2 : h + 2, 2 : w + 2] = img
+    flat = padded.reshape((-1,) + img.shape[2:])
+    sy = np.clip(sy, -1.5, h + 0.5)
+    sx = np.clip(sx, -1.5, w + 0.5)
+    y0 = np.floor(sy)
+    x0 = np.floor(sx)
     wy = sy - y0
     wx = sx - x0
-    ys = [np.clip(y0 + d, -1, h) + 1 for d in (0, 1)]
-    xs = [np.clip(x0 + d, -1, w) + 1 for d in (0, 1)]
-    out = np.zeros(sy.shape + img.shape[2:], dtype=np.float64)
-    for dy, dx, weight in (
-        (0, 0, (1 - wy) * (1 - wx)),
-        (0, 1, (1 - wy) * wx),
-        (1, 0, wy * (1 - wx)),
-        (1, 1, wy * wx),
+    base = (y0.astype(np.int64) + 2) * (w + 4) + (x0.astype(np.int64) + 2)
+    out = np.zeros(base.shape + img.shape[2:], dtype=np.float64)
+    for offset, weight in (
+        (0, (1 - wy) * (1 - wx)),
+        (1, (1 - wy) * wx),
+        (w + 4, wy * (1 - wx)),
+        (w + 5, wy * wx),
     ):
-        out += padded[ys[dy], xs[dx]] * (weight[..., None] if img.ndim == 3 else weight)
+        tap = flat[offset:].take(base, axis=0)
+        tap *= weight[..., None] if img.ndim == 3 else weight
+        out += tap
     return out
 
 
 def _finalize(out: np.ndarray, like: np.ndarray) -> np.ndarray:
     if np.issubdtype(like.dtype, np.integer):
         info = np.iinfo(like.dtype)
-        return np.clip(np.floor(out + 0.5), info.min, info.max).astype(like.dtype)
-    return out.astype(like.dtype)
+        out += 0.5
+        np.floor(out, out=out)
+        np.clip(out, info.min, info.max, out=out)
+    return out.astype(like.dtype, copy=False)
 
 
 def _warp_inverse_affine(img: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Resample with an inverse map: source = matrix @ (dest - center) + center."""
     h, w = img.shape[:2]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    dy, dx = yy - cy, xx - cx
+    dy = np.arange(h, dtype=np.float64)[:, None] - cy
+    dx = np.arange(w, dtype=np.float64)[None, :] - cx
     sy = matrix[0, 0] * dy + matrix[0, 1] * dx + cy
     sx = matrix[1, 0] * dy + matrix[1, 1] * dx + cx
-    return _finalize(_sample_bilinear(img.astype(np.float64), sy, sx), img)
+    return _finalize(_sample_bilinear(img, sy, sx), img)
 
 
 @dataclass
@@ -181,8 +194,7 @@ def resize_bilinear(img: np.ndarray, target: int) -> np.ndarray:
     # align-corners mapping: endpoints land exactly on endpoints
     sy = (np.arange(target) * ((h - 1) / (target - 1)) if target > 1 else np.full(1, (h - 1) / 2.0))
     sx = (np.arange(target) * ((w - 1) / (target - 1)) if target > 1 else np.full(1, (w - 1) / 2.0))
-    gy, gx = np.meshgrid(sy, sx, indexing="ij")
-    return _finalize(_sample_bilinear(img.astype(np.float64), gy, gx), img)
+    return _finalize(_sample_bilinear(img, sy[:, None], sx[None, :]), img)
 
 
 # -- expansion ---------------------------------------------------------------

@@ -147,21 +147,58 @@ def inverse_affine_coords(h, w, matrix):
     return matrix[0, 0] * dy + matrix[0, 1] * dx + cy, matrix[1, 0] * dy + matrix[1, 1] * dx + cx
 
 
-@pytest.mark.parametrize("shape", [(15, 15, 3), (15, 15)], ids=["rgb", "gray"])
-@pytest.mark.parametrize("transform", ["rotation30", "perspective0.5"])
-def test_sample_bilinear_matches_per_pixel_reference_far_outside_every_edge(shape, transform):
+def _affine_coords(matrix):
+    return lambda h, w: inverse_affine_coords(h, w, matrix)
+
+
+def _resize_grid(target):
+    # what resize_bilinear passes: an align-corners column for y and row for x
+    def coords(h, w):
+        sy = np.arange(target) * ((h - 1) / (target - 1))
+        sx = np.arange(target) * ((w - 1) / (target - 1))
+        return sy[:, None], sx[None, :]
+
+    return coords
+
+
+def _edge_coords(h, w):
+    # exactly on the clamp limits, on the last source pixels and far beyond each edge
+    def along(n):
+        below = [-1e6, -40.0, -1.75, -1.5, -1.25, -1.0, -0.5, 0.0, 3.3]
+        return np.array(below + [n - 1.0, n - 0.5, n, n + 0.25, n + 0.5, n + 0.75, n + 40.0, 1e6])
+
+    return np.meshgrid(along(h), along(w), indexing="ij")
+
+
+_a30 = math.radians(30.0)
+SAMPLE_COORDS = {
+    "rotation30": _affine_coords(np.array([[math.cos(_a30), -math.sin(_a30)], [math.sin(_a30), math.cos(_a30)]])),
+    "perspective0.5": _affine_coords(np.array([[2.0, 0.0], [0.0, 2.0]])),  # inverse map of a 0.5 perspective scale
+    "shear16": _affine_coords(np.array([[1.0, 0.0], [-math.tan(math.radians(16.0)), 1.0]])),
+    "resize_down": _resize_grid(11),
+    "resize_up": _resize_grid(23),
+    "edges": _edge_coords,
+}
+SOURCES = {
+    "rgb": ((15, 15, 3), np.uint8),
+    "gray": ((15, 15), np.uint8),
+    "gray16": ((15, 13), np.uint16),
+}
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("transform", SAMPLE_COORDS)
+def test_sample_bilinear_matches_per_pixel_reference_far_outside_every_edge(source, transform):
     # taps more than one pixel outside the source must read 0, not a clamped edge pixel
-    img = np.random.default_rng(21).integers(0, 256, size=shape, dtype=np.uint8)
-    if transform == "rotation30":
-        a = math.radians(30.0)
-        matrix = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-    else:
-        matrix = np.array([[2.0, 0.0], [0.0, 2.0]])  # inverse map of a 0.5 perspective scale
+    shape, dtype = SOURCES[source]
+    img = np.random.default_rng(21).integers(0, np.iinfo(dtype).max, size=shape, dtype=dtype, endpoint=True)
+    img.flat[::7] = np.iinfo(dtype).max
     h, w = shape[:2]
-    sy, sx = inverse_affine_coords(h, w, matrix)
-    assert sy.min() < -1 and sy.max() > h and sx.min() < -1 and sx.max() > w
-    got = P._sample_bilinear(img.astype(np.float64), sy, sx)
-    assert np.array_equal(got, reference_bilinear(img, sy, sx))
+    sy, sx = SAMPLE_COORDS[transform](h, w)
+    if transform in ("rotation30", "perspective0.5", "edges"):
+        assert sy.min() < -1 and sy.max() > h and sx.min() < -1 and sx.max() > w
+    got = P._sample_bilinear(img, sy, sx)
+    assert np.array_equal(got, reference_bilinear(img, *np.broadcast_arrays(sy, sx)))
 
 
 def test_crop_too_small_is_data_error():

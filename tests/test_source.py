@@ -3,14 +3,18 @@
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rgbdfuse
 from rgbdfuse.model import ModelConfig, build_model
 
 PACKAGE = Path(rgbdfuse.__file__).parent
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-OUTPUT_HASHES = Path(__file__).resolve().parents[1] / "scripts" / "output_hashes.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+OUTPUT_HASHES = ROOT / "scripts" / "output_hashes.py"
 
 
 def _load(path, name):
@@ -89,3 +93,28 @@ def test_output_hashes_names_every_output_of_a_config_once_and_repeats_itself(ca
     assert {n for n in names if "/array/" in n} == {f"bypass/array/{n}" for n in model.arrays()}
     assert script.main(["bypass"]) == 0
     assert capsys.readouterr().out.splitlines() == lines
+
+    assert script.main(["preprocess"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split(" ")[0] for line in lines]
+    assert all(len(line.split(" ")[1]) == 64 for line in lines)
+    kinds = ("rotation", "shear", "flip", "perspective")
+    assert sorted(names) == sorted(
+        ["preprocess/crop_resize", "preprocess/depth_clip_normalize", "preprocess/resize_bilinear"]
+        + [f"preprocess/augment/{kind}/{image}" for kind in kinds for image in ("rgb", "depth")]
+        + ["preprocess/synthetic/rgb", "preprocess/synthetic/depth"]
+    )
+    assert len({line.split(" ")[1] for line in lines}) == len(lines)
+    assert script.main(["preprocess"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_scripts_run_from_a_checkout_without_pythonpath(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for script in ("run_ablation_tables.py", "run_desk_experiment.py", "output_hashes.py"):
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), "--help"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, f"{script}: {result.stderr}"
+        assert result.stdout.startswith("usage: "), script
