@@ -14,6 +14,11 @@ RGB image, ``depth_clip_normalize`` of a 16-bit depth map with holes, ``augment`
 of both under each kind at fixed parameters, ``resize_bilinear`` of a float
 template and the RGB and depth images of one ``generate_synthetic`` pair.
 
+The name ``single`` hashes the weights, refined volume and gradients (of the
+volume and of each parameter the level uses) of ``feature_map_attention``,
+``spatial_attention`` and ``two_level_attention`` run on one unbatched
+[M x M x C] volume, the path the batched configs never take.
+
 Only array shapes and bytes are hashed, never config or checkpoint text, so two
 revisions that compute the same numbers print the same lines, and ``diff`` of the
 two outputs names each artefact that moved:
@@ -34,6 +39,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from rgbdfuse import attention as A  # noqa: E402
 from rgbdfuse import netpbm  # noqa: E402
 from rgbdfuse import preprocess as P  # noqa: E402
 from rgbdfuse import tensor as T  # noqa: E402
@@ -122,7 +128,33 @@ def preprocess_hashes():
         yield "preprocess/synthetic/depth", digest(netpbm.read_pgm(record.depth))
 
 
-NAMES = (*CONFIGS, "preprocess")
+def single_hashes():
+    """Yield (artefact, sha256) for each attention level run on one [M x M x C] volume."""
+    m, c = 4, 6
+    for level in ("feature_map_attention", "spatial_attention", "two_level_attention"):
+        rng = np.random.default_rng(17)
+        fm = A.FeatureMapAttention.init(c, m, rng, hidden=5)
+        sp = A.SpatialAttention.init(m, rng)
+        volume = T.parameter(rng.standard_normal((m, m, c)))
+        params = {"volume": volume}
+        if level == "two_level_attention":
+            outputs = A.two_level_attention(fm, sp, volume)._asdict()
+        else:
+            att = fm if level == "feature_map_attention" else sp
+            outputs = dict(zip(("weights", "refined"), getattr(A, level)(att, volume)))
+        if level != "spatial_attention":
+            params |= {f"fm.{n}": p for n, p in fm.parameters()}
+        if level != "feature_map_attention":
+            params |= {f"spatial.{n}": p for n, p in sp.parameters()}
+        T.backward(T.tsum(outputs["refined"] * T.Tensor(rng.standard_normal((m, m, c)))), params.values())
+        for key, value in outputs.items():
+            yield f"single/{level}/{key}", digest(value.data)
+        for pname, p in params.items():
+            yield f"single/{level}/grad/{pname}", digest(p.grad)
+
+
+NAMES = (*CONFIGS, "preprocess", "single")
+HASHERS = {"preprocess": preprocess_hashes, "single": single_hashes}
 
 
 def main(argv=None) -> int:
@@ -133,7 +165,7 @@ def main(argv=None) -> int:
         if name not in NAMES:
             parser.error(f"unknown name {name!r}")
     for name in args.names or NAMES:
-        for artefact, sha in preprocess_hashes() if name == "preprocess" else output_hashes(name):
+        for artefact, sha in HASHERS[name]() if name in HASHERS else output_hashes(name):
             print(f"{artefact} {sha}")
     return 0
 

@@ -259,8 +259,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CheckpointError, ConfigError, DataError, ShapeError, TrainingError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CheckpointError, ConfigError, DataError, ShapeError, TrainingError, UsageError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

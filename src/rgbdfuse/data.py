@@ -215,8 +215,6 @@ def generate_synthetic(
         raise ConfigError(f"need at least 2 samples per class, got {per_class}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    out_dir = Path(out_dir)
-    make_output_dir(out_dir / "images")
     rng = np.random.default_rng(seed)
     noise_depth = set(noise_depth_classes)
     noise_rgb = set(noise_rgb_classes)
@@ -229,6 +227,8 @@ def generate_synthetic(
         else:
             rgb_templates.append(_smooth_template(rng, size, 3))
         depth_templates.append(_smooth_template(rng, size, 1))
+    out_dir = Path(out_dir)
+    make_output_dir(out_dir / "images")  # after the templates, so a size too big to hold makes no directory
 
     test_n = max(1, round(per_class * test_fraction))
     if test_n >= per_class:

@@ -86,12 +86,19 @@ class ModelConfig:
             raise ConfigError(f"input size {self.input_size} is below 2^{len(self.backbone_widths)} stages")
         if self.lstm_hidden < 1:
             raise ConfigError(f"lstm_hidden must be >= 1, got {self.lstm_hidden}")
+        if not 1 <= self.lstm_layers <= 3:
+            raise ConfigError(f"lstm_layers must be 1..3, got {self.lstm_layers}")
+        if self.blstm and self.lstm_layers != 1:
+            raise ConfigError("the bidirectional variant uses exactly one layer")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        # the bound read_tensor_header puts on a record: no array holds 2^63 bytes
+        if 8 * parameter_count(self) >= 1 << 63:
+            raise ConfigError(f"config implies {8 * parameter_count(self)} bytes of parameters, 2^63 or more")
 
     @property
     def feature_extent(self) -> int:

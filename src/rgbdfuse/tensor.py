@@ -134,13 +134,10 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient contributions over axes that numpy broadcast."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
+    """Sum gradient contributions over the axes numpy broadcast, all in one reduction."""
+    lead = g.ndim - len(shape)
+    axes = (*range(lead), *(lead + i for i, dim in enumerate(shape) if dim == 1 and g.shape[lead + i] != 1))
+    return g.sum(axis=axes).reshape(shape) if axes else g
 
 
 # -- elementwise arithmetic ---------------------------------------------
@@ -424,52 +421,33 @@ def channel_concat(a: Tensor, b: Tensor) -> Tensor:
 def broadcast_mul_channel(f: Tensor, w: Tensor) -> Tensor:
     """Scale each feature map: out[b, i, j, c] = f[b, i, j, c] * w[b, c].
 
-    ``w`` is [B x C] against ``f`` [B x H x W x C], or [C] for a single volume.
+    ``w`` is [B x C] against ``f`` [B x H x W x C], or [C] against one volume [H x W x C].
     """
-    if w.ndim == 1:
-        return drop_batch_axis(broadcast_mul_channel(add_batch_axis(f), add_batch_axis(w)))
-    c = f.shape[-1]
-    if w.shape[-1] != c:
-        raise ShapeError(f"weight length {w.shape[-1]} does not match channel count {c}")
-    if w.ndim != 2 or f.ndim != 4 or w.shape[0] != f.shape[0]:
+    if w.ndim not in (1, 2) or f.ndim != w.ndim + 2 or w.shape[:-1] != f.shape[:-3]:
         raise ShapeError(f"weights {w.shape} incompatible with volume {f.shape}")
-    wb = w.data[:, None, None, :]
-
-    def bwd(g):
-        f._accum(g * wb)
-        w._accum((g * f.data).sum(axis=(1, 2)))
-
-    return _node(f.data * wb, (f, w), bwd)
+    if w.shape[-1] != f.shape[-1]:
+        raise ShapeError(f"weight length {w.shape[-1]} does not match channel count {f.shape[-1]}")
+    return mul(f, reshape(w, w.shape[:-1] + (1, 1) + w.shape[-1:]))
 
 
 def broadcast_mul_spatial(f: Tensor, w: Tensor) -> Tensor:
     """Scale each spatial position: out[..., i, j, c] = f[..., i, j, c] * w[..., i, j]."""
     if w.shape != f.shape[:-1]:
         raise ShapeError(f"spatial weights {w.shape} do not match volume {f.shape}")
-    wb = w.data[..., None]
-
-    def bwd(g):
-        f._accum(g * wb)
-        w._accum((g * f.data).sum(axis=-1))
-
-    return _node(f.data * wb, (f, w), bwd)
+    return mul(f, reshape(w, w.shape + (1,)))
 
 
 def channel_pool(f: Tensor, mode: str) -> Tensor:
     """Collapse the channel axis to 1 by mean or max.
 
+    The mean is the channel sum divided by C, as numpy's ``mean`` computes it.
     Max routes its gradient to the first argmax in channel order, so the
     backward pass is deterministic under ties.
     """
     if f.ndim not in (3, 4) or f.shape[-1] < 1:
         raise ShapeError(f"channel_pool expects a feature volume with C >= 1, got {f.shape}")
     if mode == "avg":
-        c = f.shape[-1]
-
-        def bwd(g):
-            f._accum(np.broadcast_to(g / c, f.shape))
-
-        return _node(f.data.mean(axis=-1, keepdims=True), (f,), bwd)
+        return div(tsum(f, axis=-1, keepdims=True), _lift(f.shape[-1]))
     if mode == "max":
         idx = f.data.argmax(axis=-1)[..., None]
 

@@ -467,10 +467,11 @@ ABLATION_GRID = (
         "two_level_lstm_dense_conv",
         {"fusion": "two_level", "fm_variant": "lstm_dense", "spatial_variant": "conv"},
     ),
-    ("table7", "lstm_1_layer", {"fusion": "two_level", "lstm_layers": 1}),
-    ("table7", "lstm_2_layers", {"fusion": "two_level", "lstm_layers": 2}),
-    ("table7", "lstm_3_layers", {"fusion": "two_level", "lstm_layers": 3}),
-    ("table7", "blstm_1_layer", {"fusion": "two_level", "blstm": True}),
+    # each table-7 row pins the LSTM stack its label names, whatever the base config holds
+    ("table7", "lstm_1_layer", {"fusion": "two_level", "fm_variant": "lstm_dense", "lstm_layers": 1, "blstm": False}),
+    ("table7", "lstm_2_layers", {"fusion": "two_level", "fm_variant": "lstm_dense", "lstm_layers": 2, "blstm": False}),
+    ("table7", "lstm_3_layers", {"fusion": "two_level", "fm_variant": "lstm_dense", "lstm_layers": 3, "blstm": False}),
+    ("table7", "blstm_1_layer", {"fusion": "two_level", "fm_variant": "lstm_dense", "lstm_layers": 1, "blstm": True}),
 )
 
 

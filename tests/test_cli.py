@@ -341,7 +341,9 @@ def test_diverging_training_is_a_clean_exit(tmp_path, synth_dir, capsys):
 
 def test_checkpoint_config_of_an_impossible_model_is_a_clean_exit(tmp_path, synth_dir, capsys):
     path = tmp_path / "best.ckpt"
-    write_header_only_checkpoint(path, dataclasses.replace(MICRO_CFG, classifier_widths=(4611686018427387904,)))
+    write_header_only_checkpoint(path, MICRO_CFG)
+    # ModelConfig refuses a 2^62-wide head, so only its text can name one
+    with_config_text(path, config_to_text(MICRO_CFG) + "classifier_widths=4611686018427387904\n")
     code = main(["eval", "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")])
     _assert_clean_exit(code, capsys, "bytes of parameters")
 
@@ -565,3 +567,44 @@ def test_ablate_into_a_missing_directory_is_a_clean_exit_before_any_run(tmp_path
     code = main(args + ["--seeds", "0", "--out", str(out)])
     _assert_clean_exit(code, capsys, f"output directory {out.parent} does not exist")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt"]
+
+
+# Each size below is either refused with the config or makes the first array it asks for at least
+# 2^58 bytes, more than any address space holds, so the allocation fails at once and touches no memory.
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize(
+    "config_line, match",
+    [
+        ("classifier_widths=4503599627370496", "Unable to allocate"),  # 2^52: 96 x 2^52 weights
+        ("classifier_widths=4611686018427387904", "bytes of parameters"),  # 2^62
+        ("lstm_hidden=3037000500", "bytes of parameters"),
+    ],
+    ids=["head-allocation", "head-past-2^63-bytes", "lstm-past-2^63-bytes"],
+)
+def test_a_model_too_big_to_allocate_is_a_clean_exit_before_any_run(
+    tmp_path, synth_dir, capsys, monkeypatch, command, config_line, match
+):
+    from rgbdfuse import trainer
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(trainer, "train", no_training)
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config_to_text(MICRO_CFG) + config_line + "\n")
+    args = [command, "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path)]
+    args += ["--out", str(tmp_path / "run")] if command == "train" else ["--seeds", "0", "--out", str(tmp_path / "a.csv")]
+    _assert_clean_exit(main(args), capsys, match)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt"]
+
+
+@pytest.mark.parametrize("command", ["synth", "preprocess"])
+def test_an_image_size_too_big_to_allocate_is_a_clean_exit_that_writes_nothing(tmp_path, synth_dir, capsys, command):
+    size = str(1 << 55)  # a row of 2^55 float64 coordinates is 2^58 bytes
+    args = {
+        "synth": ["synth", "--classes", "2", "--per-class", "3"],
+        "preprocess": ["preprocess", "--in", str(synth_dir)],
+    }[command]
+    out = tmp_path / "out"
+    _assert_clean_exit(main(args + ["--size", size, "--out", str(out)]), capsys, "Unable to allocate")
+    assert not out.exists()

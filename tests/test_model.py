@@ -444,7 +444,9 @@ def write_header_only_checkpoint(path, cfg):
     path.write_bytes(head + text + struct.pack("<QI", 0, 0))
 
 
-@pytest.mark.parametrize("overrides", [{"classifier_widths": (4611686018427387904,)}, {"input_size": 112}])
+# a head of width 2^52 still passes ModelConfig's 2^63-byte bound (a config past it is refused
+# before any checkpoint is read), yet its first weight matrix alone needs 2^61.6 bytes
+@pytest.mark.parametrize("overrides", [{"classifier_widths": (1 << 52,)}, {"input_size": 112}])
 def test_checkpoint_config_larger_than_file_is_refused_before_assembly(tmp_path, overrides):
     path = tmp_path / "model.ckpt"
     write_header_only_checkpoint(path, tiny_cfg(**overrides))
@@ -510,6 +512,34 @@ def test_config_validation_rejects_degenerate_values():
         with pytest.raises(ConfigError):
             tiny_cfg(**overrides)
     tiny_cfg(epochs=0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        (dict(lstm_layers=0), "lstm_layers"),
+        (dict(lstm_layers=4), "lstm_layers"),
+        (dict(blstm=True, lstm_layers=2), "exactly one layer"),
+        (dict(fusion="concat_only", blstm=True, lstm_layers=3), "exactly one layer"),
+        (dict(classifier_widths=(1 << 62,)), "bytes of parameters"),
+        (dict(lstm_hidden=3037000500), "bytes of parameters"),
+    ],
+    ids=["no-layer", "four-layers", "blstm-two-layers", "blstm-unused", "classifier-2^62", "lstm-hidden"],
+)
+def test_config_refuses_an_lstm_stack_no_model_has_and_parameters_no_array_holds(overrides, match):
+    with pytest.raises(ConfigError, match=match):
+        tiny_cfg(**overrides)
+
+
+def test_config_parameter_bound_is_the_tensor_record_bound():
+    # 2^63 bytes are 2^60 float64 parameters; each unit of head width adds 96 dense weights,
+    # a bias, a batchnorm scale and shift and 2 final weights
+    base = M.parameter_count(tiny_cfg(classifier_widths=(1,), classes=2))
+    assert M.parameter_count(tiny_cfg(classifier_widths=(2,), classes=2)) == base + 101
+    widest = 1 + ((1 << 60) - 1 - base) // 101
+    tiny_cfg(classifier_widths=(widest,), classes=2)
+    with pytest.raises(ConfigError, match="bytes of parameters"):
+        tiny_cfg(classifier_widths=(widest + 1,), classes=2)
 
 
 @pytest.mark.parametrize("where", ["config", "record name"])

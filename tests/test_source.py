@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import rgbdfuse
+from rgbdfuse.attention import FeatureMapAttention, SpatialAttention
 from rgbdfuse.model import ModelConfig, build_model
 
 PACKAGE = Path(rgbdfuse.__file__).parent
@@ -106,6 +109,25 @@ def test_output_hashes_names_every_output_of_a_config_once_and_repeats_itself(ca
     )
     assert len({line.split(" ")[1] for line in lines}) == len(lines)
     assert script.main(["preprocess"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+    assert script.main(["single"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split(" ")[0] for line in lines]
+    assert all(len(line.split(" ")[1]) == 64 for line in lines)
+    fm = [f"fm.{n}" for n, _ in FeatureMapAttention.init(6, 4, np.random.default_rng(0)).parameters()]
+    sp = [f"spatial.{n}" for n, _ in SpatialAttention.init(4, np.random.default_rng(0)).parameters()]
+    expected = {
+        "feature_map_attention": (["weights", "refined"], fm),
+        "spatial_attention": (["weights", "refined"], sp),
+        "two_level_attention": (["refined", "fm_weights", "spatial_weights", "fm_refined"], fm + sp),
+    }
+    assert names == [
+        f"single/{level}/{name}"
+        for level, (outputs, params) in expected.items()
+        for name in outputs + [f"grad/{p}" for p in ["volume"] + params]
+    ]
+    assert script.main(["single"]) == 0
     assert capsys.readouterr().out.splitlines() == lines
 
 

@@ -315,6 +315,57 @@ def test_channel_pool_gradients():
     check_grad(lambda: T.tsum(T.channel_pool(f, "max") * g), [f], 1e-6)
 
 
+RANKS = pytest.mark.parametrize("lead", [(), (2,)], ids=["rank3", "rank4"])
+
+
+def _sweep(out, params, seed):
+    """Backward of sum(out * g) for a fixed random g, so ``out`` receives exactly g; returns g."""
+    g = np.random.default_rng(seed).standard_normal(out.shape)
+    T.backward(T.tsum(out * T.Tensor(g)), params)
+    return g
+
+
+@RANKS
+def test_channel_gate_is_the_broadcast_product_bit_for_bit(lead):
+    rng = np.random.default_rng(40)
+    f = T.parameter(rng.standard_normal(lead + (3, 5, 4)))
+    w = T.parameter(rng.standard_normal(lead + (4,)))
+    out = T.broadcast_mul_channel(f, w)
+    g = _sweep(out, [f, w], 41)
+    wb = w.data[..., None, None, :]
+    assert np.array_equal(out.data, f.data * wb)
+    assert np.array_equal(f.grad, g * wb)
+    assert np.array_equal(w.grad, (g * f.data).sum(axis=(-3, -2)))
+
+
+@RANKS
+def test_spatial_gate_is_the_broadcast_product_bit_for_bit(lead):
+    rng = np.random.default_rng(42)
+    f = T.parameter(rng.standard_normal(lead + (3, 5, 4)))
+    w = T.parameter(rng.standard_normal(lead + (3, 5)))
+    out = T.broadcast_mul_spatial(f, w)
+    g = _sweep(out, [f, w], 43)
+    assert np.array_equal(out.data, f.data * w.data[..., None])
+    assert np.array_equal(f.grad, g * w.data[..., None])
+    assert np.array_equal(w.grad, (g * f.data).sum(axis=-1))
+
+
+@RANKS
+def test_channel_pool_avg_is_numpy_mean_bit_for_bit(lead):
+    f = T.parameter(np.random.default_rng(44).standard_normal(lead + (3, 5, 7)))
+    out = T.channel_pool(f, "avg")
+    g = _sweep(out, [f], 45)
+    assert np.array_equal(out.data, f.data.mean(axis=-1, keepdims=True))
+    assert np.array_equal(f.grad, np.broadcast_to(g / 7, f.shape))
+
+
+def test_channel_gate_rejects_weights_of_another_batch_or_rank():
+    f = T.Tensor(np.zeros((2, 3, 3, 4)))
+    for w in (np.zeros((3, 4)), np.zeros(4), np.zeros((2, 1, 4)), np.zeros(())):
+        with pytest.raises(ShapeError):
+            T.broadcast_mul_channel(f, T.Tensor(w))
+
+
 def test_channel_pool_max_tie_routes_to_first():
     f = T.parameter(np.array([[[2.0, 2.0, 1.0]]]))
     out = T.channel_pool(f, "max")

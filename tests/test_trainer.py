@@ -379,6 +379,26 @@ def test_ablation_grid_matches_table_row_structure():
     assert tables["table7"] == ["lstm_1_layer", "lstm_2_layers", "lstm_3_layers", "blstm_1_layer"]
 
 
+@pytest.mark.parametrize(
+    "base", [{}, {"fm_variant": "dense_only"}, {"blstm": True}], ids=["default", "dense_only", "blstm"]
+)
+def test_each_table7_row_builds_the_lstm_stack_its_label_names(base):
+    stacks = {  # label -> (layers, bidirectional)
+        "lstm_1_layer": (1, False),
+        "lstm_2_layers": (2, False),
+        "lstm_3_layers": (3, False),
+        "blstm_1_layer": (1, True),
+    }
+    base_cfg = micro_cfg(classes=3, **base)
+    rows = {variant: overrides for table, variant, overrides in TR.ABLATION_GRID if table == "table7"}
+    assert rows.keys() == stacks.keys()
+    for variant, (layers, bidirectional) in stacks.items():
+        att = build_model(replace(base_cfg, **rows[variant])).fm_attention
+        assert att.variant == "lstm_dense", variant
+        assert len(att.lstm_stack) == layers, variant
+        assert (att.blstm_bwd is not None) == bidirectional, variant
+
+
 def test_ablate_single_variant_single_seed(tmp_path, micro_manifest, monkeypatch):
     monkeypatch.setattr(TR, "ABLATION_GRID", TR.ABLATION_GRID[:1])
     cfg = micro_cfg(classes=micro_manifest.class_count, epochs=1)
