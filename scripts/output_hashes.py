@@ -9,6 +9,10 @@ on a fixed batch and hashes:
 - ``<config>/stage/<name>``: each array ``forward_features`` returns;
 - ``<config>/array/<record>``: each ``arrays()`` record after one Adam step.
 
+The config ``bands`` is the default one at 112x112 input with a batch of 2. There
+stage 0's conv blocks are row bands of one image; every other config's blocks
+hold whole images.
+
 The name ``preprocess`` hashes, on fixed seeded images: ``crop_resize`` of a uint8
 RGB image, ``depth_clip_normalize`` of a 16-bit depth map with holes, ``augment``
 of both under each kind at fixed parameters, ``resize_bilinear`` of a float
@@ -69,9 +73,11 @@ CONFIGS = {
     "rgb": {"modality": "rgb"},
     "depth": {"modality": "depth"},
     "bypass": {"attention_bypass": True},
+    "bands": {"input_size": 112},
 }
 
 BATCH = 4
+BATCHES = {"bands": 2}  # configs whose batch is not BATCH
 
 AUGMENTS = (
     P.AugmentParams("rotation", rotation_deg=-23.5),
@@ -88,13 +94,14 @@ def digest(a) -> str:
 
 def output_hashes(name: str):
     """Yield (artefact, sha256) for every output of the config ``CONFIGS[name]``."""
-    cfg = ModelConfig(**BASE, **CONFIGS[name])
+    cfg = ModelConfig(**(BASE | CONFIGS[name]))
     model = build_model(cfg)
     rng = np.random.default_rng(11)
     s = cfg.input_size
-    rgb = T.Tensor(rng.random((BATCH, s, s, 3)))
-    depth = T.Tensor(rng.random((BATCH, s, s, 1)))
-    labels = np.arange(BATCH) % cfg.classes
+    batch = BATCHES.get(name, BATCH)
+    rgb = T.Tensor(rng.random((batch, s, s, 3)))
+    depth = T.Tensor(rng.random((batch, s, s, 1)))
+    labels = np.arange(batch) % cfg.classes
 
     logits = model.forward(rgb, depth, "train")
     yield f"{name}/logits", digest(logits.data)

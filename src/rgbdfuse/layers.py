@@ -217,5 +217,5 @@ class ConvBackbone:
     def forward(self, x: Tensor) -> Tensor:
         for k, b in zip(self.kernels, self.biases):
             # relu after the pool: both are monotone, so values and gradients are the same on 4x less data
-            x = T.relu(T.maxpool2x2(T.conv2d(x, k, b)))
+            x = T.conv_pool_relu(x, k, b)
         return x

@@ -292,9 +292,9 @@ class Model:
             stages["features"] = self.backbone_depth.forward(depth3)
             return stages
 
-        f_rgb = self.backbone_rgb.forward(rgb)
-        f_depth = self.backbone_depth.forward(depth3)
-        fused = T.channel_concat(f_rgb, f_depth)
+        fused, (f_rgb, f_depth) = T.concat_branches(
+            [lambda: self.backbone_rgb.forward(rgb), lambda: self.backbone_depth.forward(depth3)], axis=-1
+        )
         stages.update(f_rgb=f_rgb, f_depth=f_depth, f_concat=fused)
         if self.fm_attention is not None:
             stages["fm_weights"], fused = feature_map_attention(self.fm_attention, fused)

@@ -19,6 +19,8 @@ the output-path checks that turn an unusable ``--out`` into a ConfigError.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import io
 import math
 import os
@@ -123,10 +125,15 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     """Wrap an op result; when recording, set ``requires_grad`` and the backward closure (only here)."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -256,16 +263,17 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _node(x.data.transpose(axes), (x,), bwd)
 
 
+def _split(g: np.ndarray, tensors: Sequence[Tensor], axis: int) -> list[np.ndarray]:
+    """Views of ``g`` along ``axis``, one per tensor of a concatenation, each as wide as that tensor."""
+    return np.split(g, np.cumsum([t.shape[axis] for t in tensors])[:-1], axis=axis)
+
+
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = list(tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            t._accum(g[tuple(index)])
+        for t, gt in zip(tensors, _split(g, tensors, axis)):
+            t._accum(gt)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
@@ -335,8 +343,9 @@ def _conv_blocks(b: int, hout: int, wout: int, width: int) -> list[tuple[int, in
 
 
 def _im2col_blocks(xp: np.ndarray, kh: int, kw: int):
-    """Yield (first output position, [n x kh*kw*Cin] block of the im2col matrix) of the
-    padded input ``xp`` [B x H x W x Cin], every block copied into one scratch buffer."""
+    """Yield ((i0, i1, r0, r1), [n x kh*kw*Cin] block of the im2col matrix) for each block of
+    :func:`_conv_blocks` over the padded input ``xp`` [B x H x W x Cin], every block copied
+    into one scratch buffer."""
     b, hp, wp, cin = xp.shape
     hout, wout, k = hp - kh + 1, wp - kw + 1, kh * kw * cin
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
@@ -346,18 +355,76 @@ def _im2col_blocks(xp: np.ndarray, kh: int, kw: int):
         src = win[i0:i1, r0:r1]
         dst = scratch[: src.size].reshape(src.shape)
         np.copyto(dst, src)
-        yield (i0 * hout + r0) * wout, dst.reshape(-1, k)
+        yield (i0, i1, r0, r1), dst.reshape(-1, k)
+
+
+def _correlate_groups(xp: np.ndarray, w2: np.ndarray, kh: int, kw: int, out: np.ndarray):
+    """Valid cross-correlation of ``xp`` [B x H x W x Cin] with ``w2`` [kh*kw*Cin x Cout], one
+    GEMM per im2col block, yielding (i0, i1, output of images i0:i1) as each group completes.
+
+    A group is one block of whole images or the row bands of one image, so its edges are
+    block edges. ``out`` holds the output of all B images, or is a buffer for the largest
+    group that every group reuses.
+    """
+    hout, wout = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
+    whole = len(out) == len(xp)
+    for (i0, i1, r0, r1), cols in _im2col_blocks(xp, kh, kw):
+        group = out[i0:i1] if whole else out[: i1 - i0]
+        np.matmul(cols, w2, out=group.reshape(-1, w2.shape[1])[r0 * wout :][: len(cols)])
+        if r1 == hout:
+            yield i0, i1, group
 
 
 def _correlate(xp: np.ndarray, w2: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Valid cross-correlation of ``xp`` [B x H x W x Cin] with ``w2`` [kh*kw*Cin x Cout],
-    one GEMM per im2col block into its rows of the output."""
-    b, hp, wp, _ = xp.shape
-    out = np.empty((b, hp - kh + 1, wp - kw + 1, w2.shape[1]))
-    out2 = out.reshape(-1, w2.shape[1])
-    for lo, cols in _im2col_blocks(xp, kh, kw):
-        np.matmul(cols, w2, out=out2[lo : lo + len(cols)])
+    """Valid cross-correlation of ``xp`` [B x H x W x Cin] with ``w2`` [kh*kw*Cin x Cout]."""
+    out = np.empty((len(xp), xp.shape[1] - kh + 1, xp.shape[2] - kw + 1, w2.shape[1]))
+    for _ in _correlate_groups(xp, w2, kh, kw, out):
+        pass
     return out
+
+
+def _pad_same(a: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Zero-pad [B x H x W x C] for a same-padded kh x kw correlation: (kh-1)//2 rows
+    before and the rest of kh-1 after, and likewise for the width."""
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    return np.pad(a, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
+
+
+def _check_conv(x: Tensor, kernels: Tensor, bias: Tensor) -> None:
+    if kernels.ndim != 4:
+        raise ShapeError(f"kernels must be [kh x kw x Cin x Cout], got {kernels.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d input must be rank 3 or 4, got {x.shape}")
+    kh, kw, cin, cout = kernels.shape
+    if x.shape[3] != cin:
+        raise ShapeError(f"input channels {x.shape[3]} do not match kernel channels {cin}")
+    if bias.shape != (cout,):
+        raise ShapeError(f"bias must be [{cout}], got {bias.shape}")
+    if 0 in x.shape or 0 in kernels.shape:
+        raise ShapeError(f"conv2d needs a nonempty input and kernels, got {x.shape} and {kernels.shape}")
+
+
+def _conv_backward(g: np.ndarray, x: Tensor, kernels: Tensor, bias: Tensor) -> None:
+    """Accumulate the gradients of ``conv2d(x, kernels, bias)`` from ``g``, its output's gradient.
+
+    The padded input is made again from ``x.data`` rather than kept from the forward.
+    """
+    kh, kw, cin, cout = kernels.shape
+    hout, wout = g.shape[1:3]
+    g2 = g.reshape(-1, cout)
+    if kernels.requires_grad:
+        blocks = _im2col_blocks(_pad_same(x.data, kh, kw), kh, kw)
+        gk = sum(cols.T @ g2[(i0 * hout + r0) * wout :][: len(cols)] for (i0, _, r0, _), cols in blocks)
+        kernels._accum(gk.reshape(kernels.shape), owned=True)
+    if bias.requires_grad:
+        bias._accum(np.ones(len(g2)) @ g2, owned=True)  # a GEMV: faster than the row-by-row g2.sum(axis=0)
+    if x.requires_grad:
+        # the input gradient is the same-padded correlation of g with the kernel flipped
+        # and its channel axes swapped, so the padding before and after trade places
+        pt, pl = (kh - 1) // 2, (kw - 1) // 2
+        gp = np.pad(g, ((0, 0), (kh - 1 - pt, pt), (kw - 1 - pl, pl), (0, 0)))
+        flipped = kernels.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin)
+        x._accum(_correlate(gp, flipped, kh, kw), owned=True)
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -371,40 +438,18 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     The im2col matrix is never built whole. Blocks of its rows are copied into
     one cache-sized scratch buffer and multiplied into their rows of the output,
     so each output element is the dot product a one-shot GEMM computes. The
-    graph keeps only the padded input; backward copies the blocks again.
+    graph keeps no padded copy of the input; backward pads it and copies the
+    blocks again.
     """
     if x.ndim == 3:
         return drop_batch_axis(conv2d(add_batch_axis(x), kernels, bias))
-    if kernels.ndim != 4:
-        raise ShapeError(f"kernels must be [kh x kw x Cin x Cout], got {kernels.shape}")
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be rank 3 or 4, got {x.shape}")
-    kh, kw, cin, cout = kernels.shape
-    if x.shape[3] != cin:
-        raise ShapeError(f"input channels {x.shape[3]} do not match kernel channels {cin}")
-    if bias.shape != (cout,):
-        raise ShapeError(f"bias must be [{cout}], got {bias.shape}")
-    if 0 in x.shape or 0 in kernels.shape:
-        raise ShapeError(f"conv2d needs a nonempty input and kernels, got {x.shape} and {kernels.shape}")
-
-    pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
-    out = _correlate(xp, kernels.data.reshape(-1, cout), kh, kw)
+    _check_conv(x, kernels, bias)
+    kh, kw, _, cout = kernels.shape
+    out = _correlate(_pad_same(x.data, kh, kw), kernels.data.reshape(-1, cout), kh, kw)
     out += bias.data
 
     def bwd(g):
-        g2 = g.reshape(-1, cout)
-        if kernels.requires_grad:
-            gk = sum(cols.T @ g2[lo : lo + len(cols)] for lo, cols in _im2col_blocks(xp, kh, kw))
-            kernels._accum(gk.reshape(kernels.shape), owned=True)
-        if bias.requires_grad:
-            bias._accum(np.ones(len(g2)) @ g2, owned=True)  # a GEMV: faster than the row-by-row g2.sum(axis=0)
-        if x.requires_grad:
-            # the input gradient is the same-padded correlation of g with the kernel flipped
-            # and its channel axes swapped, so the padding before and after trade places
-            gp = np.pad(g, ((0, 0), (kh - 1 - pt, pt), (kw - 1 - pl, pl), (0, 0)))
-            flipped = kernels.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin)
-            x._accum(_correlate(gp, flipped, kh, kw), owned=True)
+        _conv_backward(g, x, kernels, bias)
 
     return _node(out, (x, kernels, bias), bwd)
 
@@ -460,34 +505,85 @@ def channel_pool(f: Tensor, mode: str) -> Tensor:
     raise ConfigError(f"channel_pool mode must be 'avg' or 'max', got {mode!r}")
 
 
+_POOL_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major (di, dj) order within a 2x2 window
+
+
+def _check_pool(x: Tensor) -> None:
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"maxpool expects rank 3 or 4, got {x.shape}")
+    h, w = x.shape[-3:-1]
+    if h % 2 or w % 2:
+        raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
+
+
+def _pool_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The 2x2 window maxima of ``a`` [.. x H x W x C], into ``out`` if given."""
+    taps = [a[..., di::2, dj::2, :] for di, dj in _POOL_TAPS]
+    out = np.maximum(taps[0], taps[1], out=out)
+    np.maximum(out, taps[2], out=out)
+    np.maximum(out, taps[3], out=out)
+    return out
+
+
+def _route_to_first_max(g: np.ndarray, a: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """The gradient of ``a`` under a 2x2 max pool: each window's ``g`` goes to its first tap,
+    in row-major order, equal to ``pooled``; the window's other taps get ``g`` times 0."""
+    ga = np.empty_like(a)
+    free = np.ones(pooled.shape, dtype=bool)  # windows whose maximum is not yet taken
+    for di, dj in _POOL_TAPS:
+        hit = np.equal(a[..., di::2, dj::2, :], pooled)
+        hit &= free
+        free ^= hit
+        np.multiply(g, hit, out=ga[..., di::2, dj::2, :])
+    return ga
+
+
 def maxpool2x2(x: Tensor) -> Tensor:
     """Non-overlapping 2x2 spatial max over [.. x H x W x C]; H and W must be even.
 
     The gradient of each window goes to its first maximum in row-major
     (di, dj) order, so the backward pass is deterministic under ties.
     """
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"maxpool expects rank 3 or 4, got {x.shape}")
-    h, w, c = x.shape[-3:]
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
-    taps = [x.data[..., di::2, dj::2, :] for di, dj in offsets]
-    out = np.maximum(taps[0], taps[1])
-    np.maximum(out, taps[2], out=out)
-    np.maximum(out, taps[3], out=out)
+    _check_pool(x)
+    out = _pool_max(x.data)
 
     def bwd(g):
-        gx = np.empty_like(x.data)
-        free = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet taken
-        for (di, dj), tap in zip(offsets, taps):
-            hit = np.equal(tap, out)
-            hit &= free
-            free ^= hit
-            np.multiply(g, hit, out=gx[..., di::2, dj::2, :])
-        x._accum(gx, owned=True)
+        x._accum(_route_to_first_max(g, x.data, out), owned=True)
 
     return _node(out, (x,), bwd)
+
+
+def conv_pool_relu(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """``relu(maxpool2x2(conv2d(x, kernels, bias)))`` as one node, equal to it bit for bit.
+
+    The conv makes the same GEMM calls as :func:`conv2d`, and each group of whole
+    images (:func:`_correlate_groups`) is biased and pooled while it is in cache.
+    Without a graph to record, the conv output goes to one buffer that every group
+    reuses; when recording, to one full-size array, which the backward's max
+    routing reads. Routing against the rectified output is exact: where the
+    pooled value is positive the two are equal, and elsewhere the relu has
+    already zeroed the window's gradient.
+    """
+    if x.ndim == 3:
+        return drop_batch_axis(conv_pool_relu(add_batch_axis(x), kernels, bias))
+    _check_conv(x, kernels, bias)
+    _check_pool(x)
+    b, h, w, _ = x.shape
+    kh, kw, cin, cout = kernels.shape
+    if _records((x, kernels, bias)):
+        conv = np.empty((b, h, w, cout))
+    else:
+        conv = np.empty((max(i1 - i0 for i0, i1, _, _ in _conv_blocks(b, h, w, kh * kw * cin)), h, w, cout))
+    out = np.empty((b, h // 2, w // 2, cout))
+    for i0, i1, group in _correlate_groups(_pad_same(x.data, kh, kw), kernels.data.reshape(-1, cout), kh, kw, conv):
+        group += bias.data
+        _pool_max(group, out=out[i0:i1])
+    np.copyto(out, 0.0, where=~(out > 0))
+
+    def bwd(g):
+        _conv_backward(_route_to_first_max(g * (out > 0), conv, out), x, kernels, bias)
+
+    return _node(out, (x, kernels, bias), bwd)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -520,6 +616,96 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _node(np.asarray(loss), (logits,), bwd)
 
 
+# -- concurrent branches -----------------------------------------------------
+
+_branch_workers: dict = {}  # process id -> its branch worker (a ThreadPoolExecutor) or None
+
+
+def _openblas_set_num_threads_local():
+    """``openblas_set_num_threads_local`` of the OpenBLAS numpy loaded, or None if it has none."""
+    here = Path(np.__file__).parent
+    for lib in sorted((here.parent / "numpy.libs").glob("*openblas*")) + sorted((here / ".libs").glob("*openblas*")):
+        try:
+            fn = getattr(ctypes.CDLL(lib), "openblas_set_num_threads_local", None)
+        except OSError:
+            continue
+        if fn is not None:
+            fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+            return fn
+    return None
+
+
+def _branch_worker():
+    """This process's one branch worker thread, made on first use; None where branches run
+    one after another: the BLAS cannot be held to one thread, or fewer than 2 CPUs are free.
+
+    Making the worker holds OpenBLAS to one thread, in the worker and in the caller (in
+    the whole process where, as in OpenBLAS's pthreads build, the setting is not per
+    thread): the second CPU runs the other branch instead. OpenBLAS's idle threads
+    busy-wait for about 0.1 s after a multi-threaded call, so a second BLAS thread kept for
+    the code between branch regions would take that CPU from the next region's branches.
+
+    Keyed by process id, so a forked child makes its own worker instead of waiting on its
+    parent's, which the fork did not copy. ``concurrent.futures`` is imported here, not
+    with the module: it loads ``logging`` and more, which a process that never runs two
+    branches need not carry.
+    """
+    pid = os.getpid()
+    if pid not in _branch_workers:
+        from concurrent.futures import ThreadPoolExecutor
+
+        set_threads = _openblas_set_num_threads_local()
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        worker = None
+        if set_threads is not None and cpus >= 2:
+            set_threads(1)
+            worker = ThreadPoolExecutor(1, "rgbdfuse-branch", initializer=set_threads, initargs=(1,))
+        _branch_workers[pid] = worker
+    return _branch_workers[pid]
+
+
+def _run_branches(calls: Sequence[Callable[[], object]]) -> list:
+    """The results of ``calls``: the first runs on this thread and the rest on the branch
+    worker, or all one after another here where there is no worker. Every call has ended
+    before this returns or raises; an exception surfaces unchanged, the first call's first."""
+    worker = _branch_worker()
+    if worker is None or len(calls) < 2:
+        return [call() for call in calls]
+    futures = [worker.submit(call) for call in calls[1:]]
+    try:
+        first = calls[0]()
+    finally:
+        for f in futures:
+            f.exception()  # waits for the call to end, raising nothing
+    return [first] + [f.result() for f in futures]
+
+
+def concat_branches(thunks: Sequence[Callable[[], Tensor]], axis: int) -> tuple[Tensor, list[Tensor]]:
+    """Run independent branches concurrently and concatenate their outputs along ``axis``.
+
+    Each thunk builds one branch and returns its output tensor. Returns the
+    concatenation and the branch outputs. The backward slices the gradient and
+    sweeps each branch's graph concurrently. The branch graphs stay out of the
+    outer sweep's topological order (the node lists no parents), so each branch
+    node is freed as its own sweep passes it. The branches must share no tensor
+    that requires grad, and each output must feed only this node.
+    """
+    thunks = list(thunks)
+    parts = _run_branches(thunks)
+    try:
+        data = np.concatenate([t.data for t in parts], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"branch outputs {[t.shape for t in parts]} do not concatenate along axis {axis}") from exc
+
+    def bwd(g):
+        slices = zip(parts, _split(g, parts, axis))
+        _run_branches([functools.partial(_sweep, t, gt.copy()) for t, gt in slices if t.requires_grad])
+
+    out = _node(data, parts, bwd)
+    out._parents = ()
+    return out, parts
+
+
 # -- backward pass ---------------------------------------------------------
 
 
@@ -543,6 +729,20 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _sweep(root: Tensor, grad: np.ndarray) -> None:
+    """Add ``grad`` into ``root``'s gradient, then run every recorded closure reachable from
+    ``root`` in reverse topological order, each node dropping its closure and parent links
+    once its closure has run."""
+    order = _topo_order(root)
+    root.grad = grad if root.grad is None else root.grad + grad
+    while order:
+        node = order.pop()
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+        node._backward = None
+        node._parents = ()
+
+
 def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from a scalar loss.
 
@@ -560,14 +760,7 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.nda
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.grad is not None:
         raise UsageError("graph already swept: backward runs once per loss")
-    order = _topo_order(loss)
-    loss.grad = np.ones_like(loss.data)
-    while order:
-        node = order.pop()
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-        node._backward = None
-        node._parents = ()
+    _sweep(loss, np.ones_like(loss.data))
     out: dict[Tensor, np.ndarray] = {}
     for p in params:
         out[p] = p._grad_buffer()

@@ -239,6 +239,48 @@ def test_single_modality_forward_shapes():
         assert model.forward(rgb, depth).shape == (2, 3)
 
 
+def _train_step_outputs(cfg, rgb, depth):
+    """Train-mode logits and every parameter's gradient of a fresh model."""
+    model = M.build_model(cfg)
+    logits = model.forward(rgb, depth, "train")
+    T.backward(T.cross_entropy(logits, np.arange(rgb.shape[0]) % cfg.classes), [p for _, p in model.parameters()])
+    return logits.data, {name: p.grad for name, p in model.parameters()}
+
+
+def test_concurrent_backbones_equal_a_sequential_run_bit_for_bit(monkeypatch):
+    cfg = tiny_cfg(input_size=32, backbone_widths=(4, 8), dropout=0.5)
+    rgb, depth = tiny_batch(cfg, b=6, seed=8)
+    logits, grads = _train_step_outputs(cfg, rgb, depth)
+    monkeypatch.setattr(T, "_branch_worker", lambda: None)
+    seq_logits, seq_grads = _train_step_outputs(cfg, rgb, depth)
+    assert np.array_equal(logits, seq_logits)
+    assert grads.keys() == seq_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], seq_grads[name]), name
+
+
+def _forward_and_exit(model, rgb, depth, expected):
+    logits = model.forward(rgb, depth, "eval").data
+    raise SystemExit(0 if np.array_equal(logits, expected) else 3)
+
+
+def test_a_forked_child_runs_the_backbones_after_its_parent_did():
+    import multiprocessing
+
+    cfg = tiny_cfg()
+    model = M.build_model(cfg)
+    rgb, depth = tiny_batch(cfg)
+    expected = model.forward(rgb, depth, "eval").data  # the parent's branch worker now exists
+    child = multiprocessing.get_context("fork").Process(target=_forward_and_exit, args=(model, rgb, depth, expected))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child's forward did not finish within 60 s")
+    assert child.exitcode == 0
+
+
 def test_logits_golden_regression():
     # frozen output of the reference build (generated once, then pinned)
     cfg = tiny_cfg()

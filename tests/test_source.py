@@ -85,17 +85,19 @@ def test_every_name_the_bench_tracer_wraps_exists_with_the_kind_it_names():
 
 def test_output_hashes_names_every_output_of_a_config_once_and_repeats_itself(capsys):
     script = _load(OUTPUT_HASHES, "output_hashes")
-    assert script.main(["bypass"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    names = [line.split(" ")[0] for line in lines]
-    assert len(set(names)) == len(names)
-    assert all(len(line.split(" ")[1]) == 64 for line in lines)
-    model = build_model(ModelConfig(**script.BASE, **script.CONFIGS["bypass"]))
-    assert {"bypass/logits", "bypass/stage/spatial_weights"} <= set(names)
-    assert {n for n in names if "/grad/" in n} == {f"bypass/grad/{n}" for n, _ in model.parameters()}
-    assert {n for n in names if "/array/" in n} == {f"bypass/array/{n}" for n in model.arrays()}
-    assert script.main(["bypass"]) == 0
-    assert capsys.readouterr().out.splitlines() == lines
+    for config in ("bypass", "bands"):
+        assert script.main([config]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [line.split(" ")[0] for line in lines]
+        assert len(set(names)) == len(names)
+        assert all(len(line.split(" ")[1]) == 64 for line in lines)
+        model = build_model(ModelConfig(**(script.BASE | script.CONFIGS[config])))
+        assert {f"{config}/logits", f"{config}/stage/spatial_weights"} <= set(names)
+        assert {n for n in names if "/grad/" in n} == {f"{config}/grad/{n}" for n, _ in model.parameters()}
+        assert {n for n in names if "/array/" in n} == {f"{config}/array/{n}" for n in model.arrays()}
+        assert script.main([config]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+    assert model.cfg.input_size == 112  # "bands": stage 0's conv blocks are row bands
 
     assert script.main(["preprocess"]) == 0
     lines = capsys.readouterr().out.splitlines()

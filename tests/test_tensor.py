@@ -1,6 +1,8 @@
 """Tensor core: forward values against hand arithmetic, backward against finite differences."""
 
 import io
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -616,6 +618,55 @@ def test_maxpool2x2_commutes_with_relu_in_value_and_gradient():
         assert np.array_equal(results[0][1], results[1][1])
 
 
+# (input, Cout): rank 3 and rank 4; a constant input, whose interior windows all tie;
+# 112x112, whose stage-0 conv blocks are row bands; and a batch of 30 that groups of 24
+# whole images do not divide.
+FUSED_CASES = {
+    "rank3": (np.random.default_rng(50).standard_normal((6, 8, 3)), 4),
+    "rank4": (np.random.default_rng(51).standard_normal((3, 8, 6, 2)), 5),
+    "constant_ties": (np.full((2, 6, 6, 3), 0.5), 4),
+    "row_bands": (np.random.default_rng(52).random((1, 112, 112, 3)), 8),
+    "ragged_groups": (np.random.default_rng(53).standard_normal((30, 10, 10, 3)), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_conv_pool_relu_equals_the_three_ops_bit_for_bit(case):
+    x_data, cout = FUSED_CASES[case]
+    if case == "row_bands":
+        assert any(r0 > 0 for _, _, r0, _ in T._conv_blocks(1, 112, 112, 27))
+    if case == "ragged_groups":
+        groups = {(i0, i1) for i0, i1, _, _ in T._conv_blocks(30, 10, 10, 27)}
+        assert len(groups) > 1 and len({i1 - i0 for i0, i1 in groups}) > 1
+    rng = np.random.default_rng(54)
+    k_data = rng.standard_normal((3, 3, x_data.shape[-1], cout))
+    b_data = rng.standard_normal(cout)
+    if case == "constant_ties":
+        b_data[0] = 100.0  # a channel where every window's maximum is positive and tied
+    results = []
+    for stage in (T.conv_pool_relu, lambda x, k, b: T.relu(T.maxpool2x2(T.conv2d(x, k, b)))):
+        x, k, b = T.parameter(x_data), T.parameter(k_data), T.parameter(b_data)
+        out = stage(x, k, b)
+        g = np.random.default_rng(55).standard_normal(out.shape)
+        T.backward(T.tsum(out * T.Tensor(g)), [x, k, b])
+        with T.no_grad():
+            unrecorded = stage(x, k, b)
+        assert unrecorded._backward is None
+        results.append((out.data, unrecorded.data, x.grad, k.grad, b.grad))
+    fused, reference = results
+    for got, want in zip(fused, reference):
+        assert np.array_equal(got, want)
+    assert np.array_equal(fused[1], reference[0])
+
+
+def test_conv_pool_relu_checks_the_shapes_of_both_ops():
+    k, b = T.Tensor(np.zeros((3, 3, 2, 4))), T.Tensor(np.zeros(4))
+    with pytest.raises(ShapeError, match="even spatial dims"):
+        T.conv_pool_relu(T.Tensor(np.zeros((1, 5, 4, 2))), k, b)
+    with pytest.raises(ShapeError, match="input channels"):
+        T.conv_pool_relu(T.Tensor(np.zeros((1, 4, 4, 3))), k, b)
+
+
 def test_gradients_never_alias_after_backward():
     rng = np.random.default_rng(32)
     x = T.parameter(rng.standard_normal((2, 3)))
@@ -709,6 +760,107 @@ def test_backward_frees_activations_held_only_by_the_graph():
     assert peak - before < activations / 2  # interior grads die as the sweep passes them
     assert after < before - activations / 2  # and so do the activations
     assert np.array_equal(x.grad, (x.data > 0).astype(float))
+
+
+def _blas_threads():
+    """OpenBLAS's thread count, read by setting it and back."""
+    set_threads = T._openblas_set_num_threads_local()
+    current = set_threads(1)
+    set_threads(current)
+    return current
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_branch_error_surfaces_as_itself_after_every_branch_ends(failing):
+    error = ShapeError("branch failed")
+    running = []
+    started = threading.Event()
+
+    def fail():
+        if T._branch_worker() is not None:
+            started.wait(timeout=10)  # fail while the other branch runs
+        raise error
+
+    def slow(value):
+        def run():
+            running.append(value)
+            started.set()
+            time.sleep(0.2)
+            running.remove(value)
+            return T.Tensor(np.full((2, 3), float(value)))
+
+        return run
+
+    thunks = [slow(0), slow(1)]
+    thunks[failing] = fail
+    with pytest.raises(ShapeError) as info:
+        T.concat_branches(thunks, axis=-1)
+    assert info.value is error
+    assert running == []  # no branch is still running when the error surfaces
+    out, parts = T.concat_branches([slow(0), slow(1)], axis=-1)
+    assert np.array_equal(out.data, np.concatenate([np.zeros((2, 3)), np.ones((2, 3))], axis=-1))
+    assert [p.shape for p in parts] == [(2, 3), (2, 3)]
+    with pytest.raises(ShapeError, match="do not concatenate"):
+        T.concat_branches([slow(0), lambda: T.Tensor(np.zeros((3, 3)))], axis=-1)
+    if T._branch_worker() is not None:
+        assert _blas_threads() == 1  # the branches share the CPUs with no BLAS thread beside them
+
+
+def _relu_branches(size, n):
+    """Two branches of ``n`` relus each, on parameters of ``size`` elements; returns the
+    parameters, the concatenation, its branch outputs and a loss weighting each entry by its index."""
+
+    def chain(x):
+        def run():
+            y = x
+            for _ in range(n):
+                y = T.relu(y)
+            return y
+
+        return run
+
+    xs = [T.parameter(np.linspace(-1.0, 1.0, size)), T.parameter(np.linspace(1.0, -1.0, size))]
+    out, parts = T.concat_branches([chain(x) for x in xs], axis=0)
+    return xs, out, parts, T.tsum(out * T.Tensor(np.arange(2.0 * size)))
+
+
+def test_branch_backward_drops_every_branch_closure_and_parent_link():
+    xs, out, parts, loss = _relu_branches(16, 3)
+    assert out._parents == ()  # the branches stay out of the outer topological order
+    nodes = [node for part in parts for node in _graph_nodes(part)]
+    assert sum(node._backward is not None for node in nodes) == 2 * 3
+    T.backward(loss, xs)
+    for node in nodes:
+        assert node._backward is None
+        assert node._parents == ()
+    assert np.array_equal(xs[0].grad, np.arange(16) * (xs[0].data > 0))
+    assert np.array_equal(xs[1].grad, np.arange(16, 32.0) * (xs[1].data > 0))
+
+
+def test_branch_backward_frees_activations_held_only_by_a_branch():
+    size = 1 << 19  # 4 MB of float64 per activation
+    n = 8
+    tracemalloc.start()
+    try:
+        xs, _, _, loss = _relu_branches(size, n)
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        T.backward(loss, xs)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    activations = 2 * 8 * size * n
+    assert before > activations  # the branch graphs held every activation when the sweep began
+    assert peak - before < activations / 2  # interior grads die as each branch's sweep passes them
+    assert after < before - activations / 2  # and so do the activations
+
+
+def test_branches_record_no_graph_under_no_grad():
+    x = T.parameter(np.ones((2, 2)))
+    with T.no_grad():
+        out, parts = T.concat_branches([lambda: T.relu(x), lambda: T.tanh(x)], axis=0)
+    for t in [out, *parts]:
+        assert not t.requires_grad and t._backward is None and t._parents == ()
 
 
 def test_all_finite_after_public_ops():
