@@ -23,6 +23,12 @@ volume and of each parameter the level uses) of ``feature_map_attention``,
 ``spatial_attention`` and ``two_level_attention`` run on one unbatched
 [M x M x C] volume, the path the batched configs never take.
 
+The name ``train`` hashes a 2-epoch ``train`` run of ``TRAIN`` on a small
+synthetic dataset: every numeric field of its ``RunReport.canonical()`` (the
+per-epoch metrics, the best epoch and accuracy, the feature-map attention means)
+and each record of the ``best.ckpt`` it writes. Its best epoch is 1, so the
+checkpoint and the means come from a restored, not the final, state.
+
 Only array shapes and bytes are hashed, never config or checkpoint text, so two
 revisions that compute the same numbers print the same lines, and ``diff`` of the
 two outputs names each artefact that moved:
@@ -48,8 +54,8 @@ from rgbdfuse import netpbm  # noqa: E402
 from rgbdfuse import preprocess as P  # noqa: E402
 from rgbdfuse import tensor as T  # noqa: E402
 from rgbdfuse.data import generate_synthetic, load_manifest  # noqa: E402
-from rgbdfuse.model import ModelConfig, build_model  # noqa: E402
-from rgbdfuse.trainer import Adam  # noqa: E402
+from rgbdfuse.model import ModelConfig, build_model, read_checkpoint  # noqa: E402
+from rgbdfuse.trainer import Adam, train  # noqa: E402
 
 BASE = dict(
     input_size=16,
@@ -75,6 +81,20 @@ CONFIGS = {
     "bypass": {"attention_bypass": True},
     "bands": {"input_size": 112},
 }
+
+# a run whose test accuracy rises at epoch 1 and falls back at epoch 2
+TRAIN = dict(
+    input_size=16,
+    backbone_widths=(4, 6),
+    classifier_widths=(10, 8, 6),
+    lstm_hidden=6,
+    classes=2,
+    dropout=0.0,
+    seed=7,
+    batch_size=2,
+    learning_rate=0.1,
+    epochs=2,
+)
 
 BATCH = 4
 BATCHES = {"bands": 2}  # configs whose batch is not BATCH
@@ -160,8 +180,24 @@ def single_hashes():
             yield f"single/{level}/grad/{pname}", digest(p.grad)
 
 
-NAMES = (*CONFIGS, "preprocess", "single")
-HASHERS = {"preprocess": preprocess_hashes, "single": single_hashes}
+def train_hashes():
+    """Yield (artefact, sha256) for each numeric report field and checkpoint record of a 2-epoch run."""
+    cfg = ModelConfig(**TRAIN)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = load_manifest(generate_synthetic(Path(tmp) / "data", classes=2, per_class=12, size=16, seed=5))
+        report, ckpt = train(build_model(cfg), manifest, out_dir=Path(tmp) / "run")
+        _, _, records = read_checkpoint(ckpt)
+    fields = report.canonical()
+    numeric = [(f"epochs/{i}/{k}", v) for i, stats in enumerate(fields.pop("epochs")) for k, v in stats.items()]
+    for key, value in numeric + list(fields.items()):
+        if isinstance(value, (int, float)):
+            yield f"train/report/{key}", digest(np.asarray(value))
+    for record, a in records.items():
+        yield f"train/ckpt/{record}", digest(a)
+
+
+NAMES = (*CONFIGS, "preprocess", "single", "train")
+HASHERS = {"preprocess": preprocess_hashes, "single": single_hashes, "train": train_hashes}
 
 
 def main(argv=None) -> int:

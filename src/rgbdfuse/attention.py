@@ -65,10 +65,6 @@ class FeatureMapAttention:
     ) -> "FeatureMapAttention":
         if variant not in FM_VARIANTS:
             raise ConfigError(f"feature-map attention variant must be one of {FM_VARIANTS}, got {variant!r}")
-        if not 1 <= n_layers <= 3:
-            raise ConfigError(f"lstm stack depth must be 1..3, got {n_layers}")
-        if blstm and n_layers != 1:
-            raise ConfigError("the bidirectional variant uses exactly one layer")
         m2 = map_extent * map_extent
         stack: list[LstmLayer] = []
         bwd = None

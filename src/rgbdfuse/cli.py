@@ -17,12 +17,12 @@ import numpy as np
 
 from . import netpbm
 from .attention import write_weights_csv
-from .data import generate_synthetic, load_manifest, make_batches, write_manifest
+from .data import generate_synthetic, load_manifest, write_manifest
 from .errors import CheckpointError, ConfigError, DataError, ShapeError, TrainingError, UsageError
 from .model import build_model, load_checkpoint, load_config
 from .preprocess import DepthImage, augment_expand, crop_resize, depth_clip_normalize
 from .tensor import atomic_write, check_output_path, make_output_dir
-from .trainer import ablate, evaluate, gradcheck, train
+from .trainer import ablate, eval_stages, evaluate, gradcheck, train
 
 
 def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
@@ -182,12 +182,12 @@ def cmd_embed(args) -> int:
         fh.write("sample_id,label," + ",".join(f"dim{i}" for i in range(width)) + "\n")
         if weights_fh is not None:
             weights_fh.write("sample_id,weight_index,value\n")
-        for batch in make_batches(records, model.cfg.batch_size, seed=0):
-            stages = model.forward_features(batch.rgb, batch.depth)
+        for batch, stages in eval_stages(model, records):
             if weights_fh is not None:
                 write_weights_csv(weights_fh, batch.sample_ids, stages["fm_weights"])
             for sid, label, row in zip(batch.sample_ids, batch.labels, stages["embedding"].data):
                 fh.write(f"{sid},{label}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+            del batch, stages  # freed before the next batch's forward
     print(f"wrote {len(records)} embeddings of width {width} to {args.out}")
     if args.attention_out:
         print(f"attention weights: {args.attention_out}")

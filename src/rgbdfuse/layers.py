@@ -203,11 +203,6 @@ class ConvBackbone:
             cin = w
         return cls(kernels, biases, widths)
 
-    def out_extent(self, in_extent: int) -> int:
-        if in_extent % (2 ** len(self.widths)):
-            raise ConfigError(f"input extent {in_extent} not divisible by {2 ** len(self.widths)}")
-        return in_extent >> len(self.widths)
-
     def parameters(self):
         out = []
         for i, (k, b) in enumerate(zip(self.kernels, self.biases)):

@@ -3,8 +3,8 @@
 Runs are deterministic given (config, seed): batch order, dropout masks, and
 parameter initialization all derive from explicit seed streams. The best
 test-accuracy parameters are kept (and written as a checkpoint when an output
-directory is given); reports carry per-epoch metrics plus summary statistics
-of the feature-map attention weights split by source modality.
+directory is given); reports carry per-epoch metrics plus the best epoch's
+mean feature-map attention weights split by source modality.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import DatasetManifest, make_batches, protocol_split
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .model import Model, ModelConfig, build_model, config_to_text, save_checkpoint, save_config
 from .tensor import Tensor, atomic_write
 
@@ -119,36 +119,44 @@ def adam_step(state: Adam) -> None:
 # -- evaluation -----------------------------------------------------------------
 
 
+def eval_stages(model: Model, records):
+    """The one eval loop: ``(batch, model.forward_features(...))`` over fixed, seed-0 batches."""
+    if not records:
+        raise ConfigError("evaluation needs at least one record")
+    return ((b, model.forward_features(b.rgb, b.depth)) for b in make_batches(records, model.cfg.batch_size, seed=0))
+
+
+def _evaluate(model: Model, records):
+    """One eval pass: rank-1 accuracy, N x N confusion counts and ``attention_weight_means``."""
+    n, k = model.cfg.classes, model.cfg.feature_channels
+    confusion = np.zeros((n, n), dtype=np.int64)
+    total = np.zeros(2 * k)
+    count = 0
+    for batch, stages in eval_stages(model, records):
+        for sid, label in zip(batch.sample_ids, batch.labels):
+            if not 0 <= label < n:
+                raise DataError(f"label {int(label)} of sample {sid} out of range [0, {n})")
+        np.add.at(confusion, (batch.labels, stages["logits"].data.argmax(axis=1)), 1)
+        if "fm_weights" in stages:
+            w = stages["fm_weights"].data
+            total += w.sum(axis=0)
+            count += w.shape[0]
+        del batch, stages  # the next batch's forward need not hold this one's images and volumes
+    accuracy = float(np.trace(confusion) / confusion.sum())
+    if not count:
+        return accuracy, confusion, None
+    mean = total / count
+    return accuracy, confusion, (float(mean[:k].mean()), float(mean[k:].mean()))
+
+
 def evaluate(model: Model, records):
     """Rank-1 accuracy and an N x N confusion-count matrix over the records."""
-    if not records:
-        raise ConfigError("evaluate needs at least one record")
-    n = model.cfg.classes
-    confusion = np.zeros((n, n), dtype=np.int64)
-    for batch in make_batches(records, model.cfg.batch_size, seed=0):
-        with T.no_grad():
-            logits = model.forward(batch.rgb, batch.depth, "eval")
-        preds = logits.data.argmax(axis=1)
-        for truth, pred in zip(batch.labels, preds):
-            confusion[truth, pred] += 1
-    accuracy = float(np.trace(confusion) / confusion.sum())
-    return accuracy, confusion
+    return _evaluate(model, records)[:2]
 
 
 def attention_weight_means(model: Model, records):
-    """Mean feature-map attention weight over RGB- vs depth-derived channels."""
-    if model.fm_attention is None:
-        return None
-    k = model.cfg.feature_channels
-    total = np.zeros(2 * k)
-    count = 0
-    for batch in make_batches(records, model.cfg.batch_size, seed=0):
-        stages = model.forward_features(batch.rgb, batch.depth)
-        w = stages["fm_weights"].data
-        total += w.sum(axis=0)
-        count += w.shape[0]
-    mean = total / count
-    return float(mean[:k].mean()), float(mean[k:].mean())
+    """Mean feature-map attention weight over (RGB-, depth-derived) channels; None without that level."""
+    return _evaluate(model, records)[2]
 
 
 # -- reports ----------------------------------------------------------------------
@@ -271,17 +279,20 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
     started = time.perf_counter()
     report = RunReport(config_text=config_to_text(cfg), seed=cfg.seed)
 
-    def record_best(acc, epoch):
-        nonlocal best
-        if best is None or acc > best[0]:
-            best = (acc, _snapshot(model))
-            report.best_epoch = epoch
-            report.best_test_acc = acc
+    best = None  # snapshot of the best evaluated parameters
 
-    best = None
-    acc0, _ = evaluate(model, test_records)
-    report.epochs.append(EpochStats(0, None, None, acc0, optimizer.effective_lr()))
-    record_best(acc0, 0)
+    def evaluate_epoch(epoch, train_loss=None, train_acc=None):
+        """One eval pass; the best epoch's parameters and attention means are kept."""
+        nonlocal best
+        acc, _, fm_means = _evaluate(model, test_records)
+        report.epochs.append(EpochStats(epoch, train_loss, train_acc, acc, optimizer.effective_lr()))
+        if best is None or acc > report.best_test_acc:
+            best = _snapshot(model)
+            report.best_epoch, report.best_test_acc = epoch, acc
+            if fm_means is not None:
+                report.fm_weight_rgb_mean, report.fm_weight_depth_mean = fm_means
+
+    evaluate_epoch(0)
 
     failure = None  # why the run diverged
     for epoch in range(1, cfg.epochs + 1):
@@ -303,16 +314,9 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
         if failure:
             report.aborted = True
             break
-        test_acc, _ = evaluate(model, test_records)
-        report.epochs.append(
-            EpochStats(epoch, loss_sum / max(seen, 1), hits / max(seen, 1), test_acc, optimizer.effective_lr())
-        )
-        record_best(test_acc, epoch)
+        evaluate_epoch(epoch, loss_sum / max(seen, 1), hits / max(seen, 1))
 
-    _restore(model, best[1])
-    stats = attention_weight_means(model, test_records)
-    if stats is not None:
-        report.fm_weight_rgb_mean, report.fm_weight_depth_mean = stats
+    _restore(model, best)
     report.wall_time_s = time.perf_counter() - started
 
     if out_dir:

@@ -163,10 +163,6 @@ def test_fm_init_validation():
     rng = np.random.default_rng(16)
     with pytest.raises(ConfigError):
         A.FeatureMapAttention.init(4, 2, rng, variant="cbam")
-    with pytest.raises(ConfigError):
-        A.FeatureMapAttention.init(4, 2, rng, n_layers=4)
-    with pytest.raises(ConfigError):
-        A.FeatureMapAttention.init(4, 2, rng, blstm=True, n_layers=2)
 
 
 # -- spatial attention ----------------------------------------------------------------

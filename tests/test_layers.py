@@ -280,13 +280,6 @@ def test_backbone_output_shape_property(n_stages, scale):
     extent = (2**n_stages) * scale
     out = backbone.forward(T.Tensor(np.random.default_rng(20).random((extent, extent, 3))))
     assert out.shape == (scale, scale, widths[-1])
-    assert backbone.out_extent(extent) == scale
-
-
-def test_backbone_rejects_indivisible_extent():
-    backbone = L.ConvBackbone.init(3, (4, 8), np.random.default_rng(21))
-    with pytest.raises(ConfigError):
-        backbone.out_extent(6)
 
 
 def test_backbone_gradients_flow_to_all_stages():

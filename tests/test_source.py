@@ -132,6 +132,22 @@ def test_output_hashes_names_every_output_of_a_config_once_and_repeats_itself(ca
     assert script.main(["single"]) == 0
     assert capsys.readouterr().out.splitlines() == lines
 
+    assert script.main(["train"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split(" ")[0] for line in lines]
+    assert all(len(line.split(" ")[1]) == 64 for line in lines)
+    cfg = ModelConfig(**script.TRAIN)
+    per_epoch = ["epoch", "train_loss", "train_acc", "test_acc", "effective_lr"]
+    report = ["seed", "best_epoch", "best_test_acc", "fm_weight_rgb_mean", "fm_weight_depth_mean", "aborted"]
+    assert names == (
+        [f"train/report/epochs/0/{k}" for k in ("epoch", "test_acc", "effective_lr")]
+        + [f"train/report/epochs/{e}/{k}" for e in range(1, cfg.epochs + 1) for k in per_epoch]
+        + [f"train/report/{k}" for k in report]
+        + [f"train/ckpt/{n}" for n in build_model(cfg).arrays()]
+    )
+    assert script.main(["train"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
 
 def test_scripts_run_from_a_checkout_without_pythonpath(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

@@ -8,8 +8,8 @@ import pytest
 from rgbdfuse import tensor as T
 from rgbdfuse import trainer as TR
 from rgbdfuse.data import make_batches, protocol_split
-from rgbdfuse.errors import ConfigError, TrainingError
-from rgbdfuse.model import ModelConfig, build_model, load_checkpoint, read_checkpoint
+from rgbdfuse.errors import ConfigError, DataError, TrainingError
+from rgbdfuse.model import Model, ModelConfig, build_model, load_checkpoint, read_checkpoint
 from rgbdfuse.tensor import Tensor
 
 MICRO = dict(
@@ -120,13 +120,13 @@ def test_adam_constant_gradient_converges_on_quadratic():
 
 
 class StubModel:
-    """Duck-typed stand-in emitting fixed or oracle logits."""
+    """Duck-typed stand-in emitting fixed or oracle logits, and no attention weights."""
 
     def __init__(self, cfg, mode):
         self.cfg = cfg
         self.mode = mode
 
-    def forward(self, rgb, depth, mode="eval"):
+    def forward_features(self, rgb, depth):
         b = rgb.shape[0]
         n = self.cfg.classes
         if self.mode == "constant":
@@ -136,7 +136,7 @@ class StubModel:
             logits = np.zeros((b, n))
             for i in range(b):
                 logits[i, self._label_of(depth.data[i])] = 1.0
-        return Tensor(logits)
+        return {"logits": Tensor(logits)}
 
     def _label_of(self, depth_img):
         return int(np.round(depth_img.mean() * (self.cfg.classes - 1)))
@@ -186,6 +186,16 @@ def test_evaluate_needs_records(micro_manifest):
     cfg = micro_cfg(classes=3)
     with pytest.raises(ConfigError):
         TR.evaluate(StubModel(cfg, "constant"), [])
+    with pytest.raises(ConfigError, match="at least one record"):
+        TR.attention_weight_means(build_model(cfg), [])
+
+
+def test_label_beyond_the_model_classes_is_a_data_error(micro_manifest):
+    model = build_model(micro_cfg(classes=2, seed=1))  # the manifest has labels 0..2
+    with pytest.raises(DataError, match="label 2 of sample"):
+        TR.evaluate(model, micro_manifest.records)
+    with pytest.raises(DataError, match="label 2 of sample"):
+        TR.train(model, micro_manifest)
 
 
 # -- train loop -------------------------------------------------------------------
@@ -228,6 +238,27 @@ def test_train_reaches_perfect_accuracy_on_separable_data(separable_manifest):
     assert len(report.epochs) <= 31
 
 
+def test_train_runs_one_eval_pass_per_epoch_and_reports_the_best_passes_means(micro_manifest, monkeypatch):
+    cfg = micro_cfg(classes=micro_manifest.class_count, epochs=3, seed=8)
+    _, test_records = protocol_split(micro_manifest, "fixed")
+    eval_forwards = {"n": 0}
+    real_fuse = Model._fuse
+
+    def counted_fuse(self, rgb, depth):
+        eval_forwards["n"] += not T._grad_enabled
+        return real_fuse(self, rgb, depth)
+
+    monkeypatch.setattr(Model, "_fuse", counted_fuse)
+    model = build_model(cfg)
+    report, _ = TR.train(model, micro_manifest)
+    batches = -(-len(test_records) // cfg.batch_size)
+    assert eval_forwards["n"] == (cfg.epochs + 1) * batches
+
+    # the means of the best epoch's pass are those of the restored best parameters
+    means = TR.attention_weight_means(model, test_records)
+    assert (report.fm_weight_rgb_mean, report.fm_weight_depth_mean) == means
+
+
 def test_train_determinism_identical_reports(micro_manifest):
     cfg = micro_cfg(classes=micro_manifest.class_count, epochs=2, seed=9)
     r1, _ = TR.train(build_model(cfg), micro_manifest)
@@ -253,7 +284,7 @@ def test_train_writes_the_best_checkpoint_once(tmp_path, separable_manifest, mon
     cfg = micro_cfg(classes=2, epochs=12, seed=2, backbone_widths=(4, 6), learning_rate=3e-3)
     evaluated = []  # the parameters at each evaluation: epoch 0 first, then one per epoch
     saved = []
-    real_evaluate, real_save = TR.evaluate, TR.save_checkpoint
+    real_evaluate, real_save = TR._evaluate, TR.save_checkpoint
 
     def recording_evaluate(model, records):
         evaluated.append({n: p.data.copy() for n, p in model.parameters()})
@@ -263,7 +294,7 @@ def test_train_writes_the_best_checkpoint_once(tmp_path, separable_manifest, mon
         saved.append(kwargs["epoch"])
         real_save(*args, **kwargs)
 
-    monkeypatch.setattr(TR, "evaluate", recording_evaluate)
+    monkeypatch.setattr(TR, "_evaluate", recording_evaluate)
     monkeypatch.setattr(TR, "save_checkpoint", counted_save)
     report, ckpt = TR.train(build_model(cfg), separable_manifest, out_dir=tmp_path / "run")
 
@@ -314,6 +345,10 @@ def test_train_nan_gradient_restores_best_and_writes_reports(tmp_path, micro_man
     run = tmp_path / "run"
     with pytest.raises(TrainingError, match=r"non-finite gradient.*retained"):
         TR.train(model, micro_manifest, out_dir=run)
+    summary = (run / "summary.csv").read_text().splitlines()[1].split(",")
+    _, test_records = protocol_split(micro_manifest, "fixed")
+    means = TR.attention_weight_means(model, test_records)
+    assert (float(summary[4]), float(summary[5])) == means
     assert sorted(p.name for p in run.iterdir()) == ["best.ckpt", "config.txt", "report.csv", "summary.csv"]
     assert (run / "summary.csv").read_text().splitlines()[1].endswith(",true")
 
