@@ -20,8 +20,10 @@ template and the RGB and depth images of one ``generate_synthetic`` pair.
 
 The name ``single`` hashes the weights, refined volume and gradients (of the
 volume and of each parameter the level uses) of ``feature_map_attention``,
-``spatial_attention`` and ``two_level_attention`` run on one unbatched
-[M x M x C] volume, the path the batched configs never take.
+``spatial_attention`` and ``two_level_attention`` run on one [M x M x C] volume
+through the batch-of-one boundary: the volume goes in through
+``tensor.add_batch_axis`` and each output comes out through
+``tensor.drop_batch_axis``.
 
 The name ``train`` hashes a 2-epoch ``train`` run of ``TRAIN`` on a small
 synthetic dataset: every numeric field of its ``RunReport.canonical()`` (the
@@ -156,7 +158,7 @@ def preprocess_hashes():
 
 
 def single_hashes():
-    """Yield (artefact, sha256) for each attention level run on one [M x M x C] volume."""
+    """Yield (artefact, sha256) for each attention level run on one [M x M x C] volume as a batch of one."""
     m, c = 4, 6
     for level in ("feature_map_attention", "spatial_attention", "two_level_attention"):
         rng = np.random.default_rng(17)
@@ -165,10 +167,11 @@ def single_hashes():
         volume = T.parameter(rng.standard_normal((m, m, c)))
         params = {"volume": volume}
         if level == "two_level_attention":
-            outputs = A.two_level_attention(fm, sp, volume)._asdict()
+            outputs = A.two_level_attention(fm, sp, T.add_batch_axis(volume))._asdict()
         else:
             att = fm if level == "feature_map_attention" else sp
-            outputs = dict(zip(("weights", "refined"), getattr(A, level)(att, volume)))
+            outputs = dict(zip(("weights", "refined"), getattr(A, level)(att, T.add_batch_axis(volume))))
+        outputs = {key: T.drop_batch_axis(value) for key, value in outputs.items()}
         if level != "spatial_attention":
             params |= {f"fm.{n}": p for n, p in fm.parameters()}
         if level != "feature_map_attention":

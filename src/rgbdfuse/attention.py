@@ -7,8 +7,10 @@ two gates spatial positions: channel-wise average and max maps are stacked and
 reduced to a single map by a 1x1 convolution (or a dense layer), squashed, and
 broadcast over channels.
 
-Both modules run on a batch [B x M x M x C] and return weights per sample; a
-single volume [M x M x C] runs as a batch of one.
+Both modules run on a batch [B x M x M x C] and return weights per sample.
+They take batches only: a caller holding one volume [M x M x C] passes it
+through ``tensor.add_batch_axis`` and drops the axis from each output with
+``tensor.drop_batch_axis``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ SPATIAL_VARIANTS = ("conv", "dense")
 
 def reshape_to_map_sequence(f: Tensor) -> Tensor:
     """Turn a batch of square volumes [B x M x M x C] into a time-major C-step sequence
-    of row-major flattened maps [C x B x M^2]; one volume [M x M x C] gives [C x M^2]."""
-    if f.ndim == 3:
-        return T.drop_batch_axis(reshape_to_map_sequence(T.add_batch_axis(f)), 1)
+    of row-major flattened maps [C x B x M^2]."""
     if f.ndim != 4:
-        raise ShapeError(f"expected rank 3 or 4, got {f.shape}")
+        raise ShapeError(f"expected [B x M x M x C], got {f.shape}")
     b, m, m2, c = f.shape
     if m != m2:
         raise ShapeError(f"expected square volumes, got {f.shape}")
@@ -104,13 +104,10 @@ class FeatureMapAttention:
 def feature_map_attention(att: FeatureMapAttention, f: Tensor):
     """Return (weights, refined): W in (0,1) per map and W * f.
 
-    ``f`` is [B x M x M x C] with weights [B x C], or one volume [M x M x C] with weights [C].
+    ``f`` is [B x M x M x C]; the weights are [B x C].
     """
-    if f.ndim == 3:
-        weights, refined = feature_map_attention(att, T.add_batch_axis(f))
-        return T.drop_batch_axis(weights), T.drop_batch_axis(refined)
     if f.ndim != 4:
-        raise ShapeError(f"expected a feature volume, got {f.shape}")
+        raise ShapeError(f"expected [B x M x M x C], got {f.shape}")
     b, m, m2, c = f.shape
     if m != m2 or m != att.map_extent:
         raise ConfigError(f"attention configured for {att.map_extent}x{att.map_extent} maps, got {f.shape}")
@@ -154,13 +151,10 @@ class SpatialAttention:
 def spatial_attention(att: SpatialAttention, f: Tensor):
     """Return (weights, refined): W in (0,1) per position and W * f.
 
-    ``f`` is [B x M x M x C] with weights [B x M x M], or one volume [M x M x C] with weights [M x M].
+    ``f`` is [B x M x M x C]; the weights are [B x M x M].
     """
-    if f.ndim == 3:
-        weights, refined = spatial_attention(att, T.add_batch_axis(f))
-        return T.drop_batch_axis(weights), T.drop_batch_axis(refined)
     if f.ndim != 4:
-        raise ShapeError(f"expected a feature volume, got {f.shape}")
+        raise ShapeError(f"expected [B x M x M x C], got {f.shape}")
     b, m, m2, _ = f.shape
     if m != m2 or m != att.map_extent:
         raise ConfigError(f"spatial attention configured for {att.map_extent}x{att.map_extent}, got {f.shape}")
@@ -192,13 +186,9 @@ def two_level_attention(fm: FeatureMapAttention, sp: SpatialAttention, f_concat:
 
 
 def write_weights_csv(stream, sample_ids, weights: Tensor) -> None:
-    """Dump one batch of attention weights as rows of sample_id,weight_index,value."""
-    w = weights.data
-    if w.ndim == 1:
-        w = w[None]
-    flat = w.reshape(w.shape[0], -1)
-    if len(sample_ids) != flat.shape[0]:
-        raise ShapeError(f"{len(sample_ids)} sample ids for {flat.shape[0]} weight rows")
-    for sid, row in zip(sample_ids, flat):
+    """Dump one batch of attention weights [B x ...] as rows of sample_id,weight_index,value."""
+    if weights.ndim < 2 or len(sample_ids) != weights.shape[0]:
+        raise ShapeError(f"{len(sample_ids)} sample ids for a batch of weights {weights.shape}")
+    for sid, row in zip(sample_ids, weights.data.reshape(weights.shape[0], -1)):
         for idx, value in enumerate(row):
             stream.write(f"{sid},{idx},{value:.17g}\n")

@@ -215,6 +215,8 @@ def generate_synthetic(
         raise ConfigError(f"need at least 2 samples per class, got {per_class}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if not 0.0 < test_fraction < 1.0:
+        raise ConfigError(f"test fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     noise_depth = set(noise_depth_classes)
     noise_rgb = set(noise_rgb_classes)

@@ -80,17 +80,15 @@ class LstmLayer:
 
 
 def lstm_forward(layer: LstmLayer, seq: Tensor) -> Tensor:
-    """Run the recurrence over seq [T x B x in] (or one sequence [T x in]) from zero state.
+    """Run the recurrence over seq [T x B x in] from zero state.
 
     The gates run packed in (i, f, c, o) order: the input projection of every step is
     one GEMM against W [in x 4H], and each step adds h U (U [H x 4H]) and b [4H], then
     splits the sum into the four gates. Returns the hidden state at every step:
-    [T x B x H] (or [T x H]).
+    [T x B x H].
     """
-    if seq.ndim == 2:
-        return T.drop_batch_axis(lstm_forward(layer, T.add_batch_axis(seq, 1)), 1)
     if seq.ndim != 3 or seq.shape[0] < 1:
-        raise ShapeError(f"lstm expects [T x in] or [T x B x in] with T >= 1, got {seq.shape}")
+        raise ShapeError(f"lstm expects [T x B x in] with T >= 1, got {seq.shape}")
     if seq.shape[2] != layer.n_in:
         raise ShapeError(f"lstm configured for width {layer.n_in}, got steps of width {seq.shape[2]}")
     steps, batch, hidden = seq.shape[0], seq.shape[1], layer.hidden
@@ -116,7 +114,7 @@ def blstm_forward(fwd: LstmLayer, bwd: LstmLayer, seq: Tensor) -> Tensor:
         raise ConfigError(f"blstm halves disagree on hidden size: {fwd.hidden} vs {bwd.hidden}")
     forward = lstm_forward(fwd, seq)
     reverse = T.take(lstm_forward(bwd, T.take(seq, slice(None, None, -1))), slice(None, None, -1))
-    return T.concat([forward, reverse], axis=forward.ndim - 1)
+    return T.concat([forward, reverse], axis=2)
 
 
 class BatchNorm:

@@ -92,8 +92,11 @@ class ModelConfig:
             raise ConfigError("the bidirectional variant uses exactly one layer")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size < 2:  # batchnorm's train mode needs 2 samples, so a batch of 1 never takes a step
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        for name in ("learning_rate", "lr_decay"):
+            if not 0.0 < getattr(self, name) < float("inf"):
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         # the bound read_tensor_header puts on a record: no array holds 2^63 bytes

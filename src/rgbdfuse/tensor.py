@@ -7,9 +7,10 @@ gradients into ``.grad`` buffers. A central finite-difference oracle
 (:func:`central_difference`) provides the independent cross-check used by the
 test suite and the gradcheck runner.
 
-Spatial data is channel-last with a leading batch axis (B x H x W x C). Ops
-that also take one sample (H x W x C) run it as a batch of one, through
-:func:`add_batch_axis` and :func:`drop_batch_axis`.
+Spatial data is channel-last with a leading batch axis (B x H x W x C), and
+every spatial op takes batches only. A caller holding one sample passes it
+through :func:`add_batch_axis` before the op and :func:`drop_batch_axis`
+after it, the one batch-of-one boundary.
 
 The module also owns the package's file output: FTNS tensor io,
 :func:`atomic_write`, through which every file the package writes goes, and
@@ -394,7 +395,7 @@ def _check_conv(x: Tensor, kernels: Tensor, bias: Tensor) -> None:
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be [kh x kw x Cin x Cout], got {kernels.shape}")
     if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be rank 3 or 4, got {x.shape}")
+        raise ShapeError(f"conv2d input must be [B x H x W x Cin], got {x.shape}")
     kh, kw, cin, cout = kernels.shape
     if x.shape[3] != cin:
         raise ShapeError(f"input channels {x.shape[3]} do not match kernel channels {cin}")
@@ -430,10 +431,9 @@ def _conv_backward(g: np.ndarray, x: Tensor, kernels: Tensor, bias: Tensor) -> N
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Same-padded, stride-1 2-D cross-correlation plus per-channel bias.
 
-    ``x`` is [B x H x W x Cin] (or one sample [H x W x Cin]); ``kernels`` is
-    [kh x kw x Cin x Cout]; ``bias`` is [Cout]. The output keeps the input's
-    H x W: the input is zero-padded by (kh-1)//2 rows before and the rest of
-    kh-1 after, and likewise for the width.
+    ``x`` is [B x H x W x Cin]; ``kernels`` is [kh x kw x Cin x Cout]; ``bias``
+    is [Cout]. The output keeps the input's H x W: the input is zero-padded by
+    (kh-1)//2 rows before and the rest of kh-1 after, and likewise for the width.
 
     The im2col matrix is never built whole. Blocks of its rows are copied into
     one cache-sized scratch buffer and multiplied into their rows of the output,
@@ -441,8 +441,6 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     graph keeps no padded copy of the input; backward pads it and copies the
     blocks again.
     """
-    if x.ndim == 3:
-        return drop_batch_axis(conv2d(add_batch_axis(x), kernels, bias))
     _check_conv(x, kernels, bias)
     kh, kw, _, cout = kernels.shape
     out = _correlate(_pad_same(x.data, kh, kw), kernels.data.reshape(-1, cout), kh, kw)
@@ -455,29 +453,28 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
 
 def channel_concat(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two feature volumes along the channel (last) axis."""
-    if a.ndim != b.ndim or a.ndim not in (3, 4):
-        raise ShapeError(f"channel_concat expects two rank-3 or rank-4 volumes, got {a.shape} and {b.shape}")
+    """Stack two batches of feature volumes [B x H x W x C] along the channel (last) axis."""
+    if a.ndim != 4 or b.ndim != 4:
+        raise ShapeError(f"channel_concat expects two [B x H x W x C] volumes, got {a.shape} and {b.shape}")
     if a.shape[:-1] != b.shape[:-1]:
         raise ShapeError(f"spatial shapes differ: {a.shape} vs {b.shape}")
-    return concat([a, b], axis=a.ndim - 1)
+    return concat([a, b], axis=3)
 
 
 def broadcast_mul_channel(f: Tensor, w: Tensor) -> Tensor:
-    """Scale each feature map: out[b, i, j, c] = f[b, i, j, c] * w[b, c].
-
-    ``w`` is [B x C] against ``f`` [B x H x W x C], or [C] against one volume [H x W x C].
-    """
-    if w.ndim not in (1, 2) or f.ndim != w.ndim + 2 or w.shape[:-1] != f.shape[:-3]:
+    """Scale each feature map: out[b, i, j, c] = f[b, i, j, c] * w[b, c], with ``w``
+    [B x C] against ``f`` [B x H x W x C]."""
+    if f.ndim != 4 or w.ndim != 2 or w.shape[0] != f.shape[0]:
         raise ShapeError(f"weights {w.shape} incompatible with volume {f.shape}")
-    if w.shape[-1] != f.shape[-1]:
-        raise ShapeError(f"weight length {w.shape[-1]} does not match channel count {f.shape[-1]}")
-    return mul(f, reshape(w, w.shape[:-1] + (1, 1) + w.shape[-1:]))
+    if w.shape[1] != f.shape[3]:
+        raise ShapeError(f"weight length {w.shape[1]} does not match channel count {f.shape[3]}")
+    return mul(f, reshape(w, (w.shape[0], 1, 1, w.shape[1])))
 
 
 def broadcast_mul_spatial(f: Tensor, w: Tensor) -> Tensor:
-    """Scale each spatial position: out[..., i, j, c] = f[..., i, j, c] * w[..., i, j]."""
-    if w.shape != f.shape[:-1]:
+    """Scale each spatial position: out[b, i, j, c] = f[b, i, j, c] * w[b, i, j], with ``w``
+    [B x H x W] against ``f`` [B x H x W x C]."""
+    if f.ndim != 4 or w.shape != f.shape[:-1]:
         raise ShapeError(f"spatial weights {w.shape} do not match volume {f.shape}")
     return mul(f, reshape(w, w.shape + (1,)))
 
@@ -489,8 +486,8 @@ def channel_pool(f: Tensor, mode: str) -> Tensor:
     Max routes its gradient to the first argmax in channel order, so the
     backward pass is deterministic under ties.
     """
-    if f.ndim not in (3, 4) or f.shape[-1] < 1:
-        raise ShapeError(f"channel_pool expects a feature volume with C >= 1, got {f.shape}")
+    if f.ndim != 4 or f.shape[-1] < 1:
+        raise ShapeError(f"channel_pool expects [B x H x W x C] with C >= 1, got {f.shape}")
     if mode == "avg":
         return div(tsum(f, axis=-1, keepdims=True), _lift(f.shape[-1]))
     if mode == "max":
@@ -509,15 +506,15 @@ _POOL_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major (di, dj) order within
 
 
 def _check_pool(x: Tensor) -> None:
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"maxpool expects rank 3 or 4, got {x.shape}")
-    h, w = x.shape[-3:-1]
+    if x.ndim != 4:
+        raise ShapeError(f"maxpool expects [B x H x W x C], got {x.shape}")
+    h, w = x.shape[1:3]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
 
 
 def _pool_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The 2x2 window maxima of ``a`` [.. x H x W x C], into ``out`` if given."""
+    """The 2x2 window maxima of ``a`` [B x H x W x C], into ``out`` if given."""
     taps = [a[..., di::2, dj::2, :] for di, dj in _POOL_TAPS]
     out = np.maximum(taps[0], taps[1], out=out)
     np.maximum(out, taps[2], out=out)
@@ -539,7 +536,7 @@ def _route_to_first_max(g: np.ndarray, a: np.ndarray, pooled: np.ndarray) -> np.
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """Non-overlapping 2x2 spatial max over [.. x H x W x C]; H and W must be even.
+    """Non-overlapping 2x2 spatial max over [B x H x W x C]; H and W must be even.
 
     The gradient of each window goes to its first maximum in row-major
     (di, dj) order, so the backward pass is deterministic under ties.
@@ -564,8 +561,6 @@ def conv_pool_relu(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     pooled value is positive the two are equal, and elsewhere the relu has
     already zeroed the window's gradient.
     """
-    if x.ndim == 3:
-        return drop_batch_axis(conv_pool_relu(add_batch_axis(x), kernels, bias))
     _check_conv(x, kernels, bias)
     _check_pool(x)
     b, h, w, _ = x.shape

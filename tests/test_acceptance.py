@@ -81,13 +81,13 @@ def test_criterion_2_analytic_attention_fixtures():
     for module in (fm, sp):
         for _, p in module.parameters():
             p.data[:] = 0.0
-    f = T.Tensor(rng.standard_normal((2, 2, 8)))
+    f = T.Tensor(rng.standard_normal((2, 2, 8)))  # one volume, run as a batch of one
 
-    weights, refined = A.feature_map_attention(fm, f)
+    weights, refined = (T.drop_batch_axis(t) for t in A.feature_map_attention(fm, T.add_batch_axis(f)))
     fm_exact = np.array_equal(weights.data, np.full(8, 0.5)) and np.array_equal(refined.data, 0.5 * f.data)
 
-    composed = A.two_level_attention(fm, sp, f)
-    quarter_exact = np.array_equal(composed.refined.data, 0.25 * f.data)
+    composed = A.two_level_attention(fm, sp, T.add_batch_axis(f))
+    quarter_exact = np.array_equal(T.drop_batch_axis(composed.refined).data, 0.25 * f.data)
 
     base = ModelConfig(
         input_size=16, backbone_widths=(2, 3), classifier_widths=(10, 8, 6), lstm_hidden=6, classes=3, seed=5

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgbdfuse import attention as A
+from rgbdfuse import layers as L
 from rgbdfuse import tensor as T
-from rgbdfuse.errors import ConfigError
+from rgbdfuse.errors import ConfigError, ShapeError
 from tests.test_tensor import check_grad
 
 
@@ -26,17 +27,29 @@ def sp_init(m, seed=0, **kw):
     return A.SpatialAttention.init(m, np.random.default_rng(seed), **kw)
 
 
+def single(level, *modules_and_volume):
+    """``level`` run on one volume [M x M x C] as a batch of one; each output drops the batch axis."""
+    *modules, f = modules_and_volume
+    outputs = [T.drop_batch_axis(t) for t in level(*modules, T.add_batch_axis(f))]
+    return A.TwoLevelResult(*outputs) if level is A.two_level_attention else tuple(outputs)
+
+
+def single_map_sequence(f):
+    """``reshape_to_map_sequence`` of one volume [M x M x C]: [C x M^2]."""
+    return T.drop_batch_axis(A.reshape_to_map_sequence(T.add_batch_axis(f)), 1)
+
+
 # -- reshape_to_map_sequence ----------------------------------------------------
 
 
 def test_map_sequence_paper_shape():
     f = T.Tensor(np.zeros((7, 7, 1024)))
-    assert A.reshape_to_map_sequence(f).shape == (1024, 49)
+    assert single_map_sequence(f).shape == (1024, 49)
 
 
 def test_map_sequence_degenerate_spatial():
     f = T.Tensor(np.arange(5.0).reshape(1, 1, 5))
-    out = A.reshape_to_map_sequence(f)
+    out = single_map_sequence(f)
     assert out.shape == (5, 1)
     assert np.array_equal(out.data.reshape(-1), f.data.reshape(-1))
 
@@ -44,7 +57,7 @@ def test_map_sequence_degenerate_spatial():
 def test_map_sequence_index_placement_brute_force():
     m, c = 2, 2
     f = np.arange(float(m * m * c)).reshape(m, m, c)
-    out = A.reshape_to_map_sequence(T.Tensor(f)).data
+    out = single_map_sequence(T.Tensor(f)).data
     for ch in range(c):
         for i in range(m):
             for j in range(m):
@@ -57,8 +70,8 @@ def test_map_sequence_batched_orientation():
     out = A.reshape_to_map_sequence(T.Tensor(f)).data
     assert out.shape == (4, 3, 4)
     for b in range(3):
-        single = A.reshape_to_map_sequence(T.Tensor(f[b])).data
-        assert np.array_equal(out[:, b, :], single)
+        one = single_map_sequence(T.Tensor(f[b])).data
+        assert np.array_equal(out[:, b, :], one)
 
 
 # -- feature-map attention ---------------------------------------------------------
@@ -68,7 +81,7 @@ def test_fm_zero_parameters_gives_half_weights():
     att = fm_init(4, 2)
     zero_params(att)
     f = T.Tensor(np.random.default_rng(2).random((2, 2, 4)))
-    weights, refined = A.feature_map_attention(att, f)
+    weights, refined = single(A.feature_map_attention, att, f)
     assert np.array_equal(weights.data, np.full(4, 0.5))
     assert np.array_equal(refined.data, 0.5 * f.data)
 
@@ -77,7 +90,7 @@ def test_fm_bypass_is_exact_identity():
     att = fm_init(4, 2)
     att.bypass = True
     f = T.Tensor(np.random.default_rng(3).random((2, 2, 4)))
-    weights, refined = A.feature_map_attention(att, f)
+    weights, refined = single(A.feature_map_attention, att, f)
     assert np.array_equal(weights.data, np.ones(4))
     assert np.array_equal(refined.data, f.data)
 
@@ -85,7 +98,7 @@ def test_fm_bypass_is_exact_identity():
 def test_fm_weights_strictly_in_unit_interval():
     att = fm_init(4, 2, seed=4)
     f = T.Tensor(np.random.default_rng(5).standard_normal((2, 2, 4)) * 50)
-    weights, _ = A.feature_map_attention(att, f)
+    weights, _ = single(A.feature_map_attention, att, f)
     assert np.all(weights.data > 0.0) and np.all(weights.data < 1.0)
 
 
@@ -105,14 +118,14 @@ def test_fm_variants_shapes_and_gradients(kw):
     f = T.parameter(rng.standard_normal((2, 2, 4)))
     g = T.Tensor(rng.standard_normal((2, 2, 4)))
 
-    weights, refined = A.feature_map_attention(att, f)
+    weights, refined = single(A.feature_map_attention, att, f)
     assert weights.shape == (4,)
     assert refined.shape == f.shape
 
     params = [p for _, p in att.parameters()] + [f]
 
     def loss():
-        _, out = A.feature_map_attention(att, f)
+        _, out = single(A.feature_map_attention, att, f)
         return T.tsum(out * g)
 
     check_grad(loss, params, 1e-4)
@@ -132,18 +145,18 @@ def test_fm_gradients_reach_every_parameter():
 def test_fm_channel_mismatch_is_config_error():
     att = fm_init(4, 2)
     with pytest.raises(ConfigError):
-        A.feature_map_attention(att, T.Tensor(np.zeros((2, 2, 5))))
+        single(A.feature_map_attention, att, T.Tensor(np.zeros((2, 2, 5))))
     with pytest.raises(ConfigError):
-        A.feature_map_attention(att, T.Tensor(np.zeros((3, 3, 4))))
+        single(A.feature_map_attention, att, T.Tensor(np.zeros((3, 3, 4))))
 
 
 def test_fm_dense_only_is_permutation_equivariant():
     att = fm_init(5, 2, seed=10, variant="dense_only")
     rng = np.random.default_rng(11)
     f = rng.standard_normal((2, 2, 5))
-    w_base, _ = A.feature_map_attention(att, T.Tensor(f))
+    w_base, _ = single(A.feature_map_attention, att, T.Tensor(f))
     perm = rng.permutation(5)
-    w_perm, _ = A.feature_map_attention(att, T.Tensor(f[..., perm]))
+    w_perm, _ = single(A.feature_map_attention, att, T.Tensor(f[..., perm]))
     assert np.allclose(w_perm.data, w_base.data[perm], atol=1e-14)
 
 
@@ -154,7 +167,7 @@ def test_fm_batched_matches_per_sample():
     weights, refined = A.feature_map_attention(att, T.Tensor(f))
     assert weights.shape == (3, 4)
     for b in range(3):
-        w1, r1 = A.feature_map_attention(att, T.Tensor(f[b]))
+        w1, r1 = single(A.feature_map_attention, att, T.Tensor(f[b]))
         assert np.allclose(weights.data[b], w1.data, atol=1e-15)
         assert np.allclose(refined.data[b], r1.data, atol=1e-15)
 
@@ -172,7 +185,7 @@ def test_spatial_zero_parameters_gives_half_weights():
     att = sp_init(3)
     zero_params(att)
     f = T.Tensor(np.random.default_rng(17).random((3, 3, 5)))
-    weights, refined = A.spatial_attention(att, f)
+    weights, refined = single(A.spatial_attention, att, f)
     assert np.array_equal(weights.data, np.full((3, 3), 0.5))
     assert np.array_equal(refined.data, 0.5 * f.data)
 
@@ -180,7 +193,7 @@ def test_spatial_zero_parameters_gives_half_weights():
 def test_spatial_constant_volume_gives_uniform_weights():
     att = sp_init(3, seed=18)
     f = T.Tensor(np.full((3, 3, 4), 2.5))
-    weights, _ = A.spatial_attention(att, f)
+    weights, _ = single(A.spatial_attention, att, f)
     assert np.allclose(weights.data, weights.data[0, 0], atol=1e-15)
 
 
@@ -193,7 +206,7 @@ def test_spatial_gradients(variant):
     params = [p for _, p in att.parameters()] + [f]
 
     def loss():
-        _, out = A.spatial_attention(att, f)
+        _, out = single(A.spatial_attention, att, f)
         return T.tsum(out * g)
 
     check_grad(loss, params, 1e-4)
@@ -202,14 +215,14 @@ def test_spatial_gradients(variant):
 def test_spatial_dense_extent_mismatch():
     att = sp_init(3, variant="dense")
     with pytest.raises(ConfigError):
-        A.spatial_attention(att, T.Tensor(np.zeros((4, 4, 2))))
+        single(A.spatial_attention, att, T.Tensor(np.zeros((4, 4, 2))))
 
 
 def test_spatial_bypass_identity():
     att = sp_init(3)
     att.bypass = True
     f = T.Tensor(np.random.default_rng(21).random((3, 3, 2)))
-    weights, refined = A.spatial_attention(att, f)
+    weights, refined = single(A.spatial_attention, att, f)
     assert np.array_equal(weights.data, np.ones((3, 3)))
     assert np.array_equal(refined.data, f.data)
 
@@ -222,7 +235,7 @@ def test_two_level_bypass_is_identity():
     sp = sp_init(2)
     fm.bypass = sp.bypass = True
     f = T.Tensor(np.random.default_rng(22).random((2, 2, 4)))
-    result = A.two_level_attention(fm, sp, f)
+    result = single(A.two_level_attention, fm, sp, f)
     assert np.array_equal(result.refined.data, f.data)
 
 
@@ -232,7 +245,7 @@ def test_two_level_zero_parameters_quarter_scaling():
     zero_params(fm)
     zero_params(sp)
     f = T.Tensor(np.random.default_rng(23).random((2, 2, 4)))
-    result = A.two_level_attention(fm, sp, f)
+    result = single(A.two_level_attention, fm, sp, f)
     assert np.array_equal(result.refined.data, 0.25 * f.data)
 
 
@@ -241,7 +254,7 @@ def test_two_level_paper_scale_shapes():
     sp = sp_init(7, seed=25)
     f = T.Tensor(np.random.default_rng(26).random((7, 7, 1024)))
     with T.no_grad():
-        result = A.two_level_attention(fm, sp, f)
+        result = single(A.two_level_attention, fm, sp, f)
     assert result.fm_weights.shape == (1024,)
     assert result.spatial_weights.shape == (7, 7)
     assert result.refined.shape == (7, 7, 1024)
@@ -254,7 +267,7 @@ def test_two_level_weights_in_unit_interval_and_shape_preserved(seed):
     fm = A.FeatureMapAttention.init(6, 2, rng, hidden=4)
     sp = A.SpatialAttention.init(2, rng)
     f = T.Tensor(rng.standard_normal((2, 2, 6)) * 10)
-    result = A.two_level_attention(fm, sp, f)
+    result = single(A.two_level_attention, fm, sp, f)
     assert result.refined.shape == f.shape
     for w in (result.fm_weights, result.spatial_weights):
         assert np.all(w.data > 0.0) and np.all(w.data < 1.0)
@@ -267,3 +280,43 @@ def test_write_weights_csv_format():
     buf = io.StringIO()
     A.write_weights_csv(buf, ["s0", "s1"], T.Tensor([[0.25, 0.5], [0.125, 1.0]]))
     assert buf.getvalue().splitlines() == ["s0,0,0.25", "s0,1,0.5", "s1,0,0.125", "s1,1,1"]
+
+
+# -- batches only -------------------------------------------------------------------------
+
+
+def _volume(*shape):
+    return T.Tensor(np.random.default_rng(27).random(shape))
+
+
+def _lstm():
+    return L.LstmLayer.init(3, 2, np.random.default_rng(0))
+
+
+_KERNELS = (T.Tensor(np.ones((3, 3, 2, 1))), T.Tensor(np.zeros(1)))
+
+# one unbatched input for each op that takes batches only: a volume [M x M x C], or for the
+# LSTMs one sequence [T x in]
+UNBATCHED = {
+    "conv2d": lambda: T.conv2d(_volume(4, 4, 2), *_KERNELS),
+    "conv_pool_relu": lambda: T.conv_pool_relu(_volume(4, 4, 2), *_KERNELS),
+    "maxpool2x2": lambda: T.maxpool2x2(_volume(4, 4, 2)),
+    "channel_concat": lambda: T.channel_concat(_volume(2, 2, 1), _volume(2, 2, 1)),
+    "channel_pool_avg": lambda: T.channel_pool(_volume(2, 2, 3), "avg"),
+    "channel_pool_max": lambda: T.channel_pool(_volume(2, 2, 3), "max"),
+    "broadcast_mul_channel": lambda: T.broadcast_mul_channel(_volume(2, 2, 3), _volume(3)),
+    "broadcast_mul_spatial": lambda: T.broadcast_mul_spatial(_volume(2, 2, 3), _volume(2, 2)),
+    "lstm_forward": lambda: L.lstm_forward(_lstm(), _volume(5, 3)),
+    "blstm_forward": lambda: L.blstm_forward(_lstm(), _lstm(), _volume(5, 3)),
+    "reshape_to_map_sequence": lambda: A.reshape_to_map_sequence(_volume(2, 2, 4)),
+    "feature_map_attention": lambda: A.feature_map_attention(fm_init(4, 2), _volume(2, 2, 4)),
+    "spatial_attention": lambda: A.spatial_attention(sp_init(2), _volume(2, 2, 4)),
+    "two_level_attention": lambda: A.two_level_attention(fm_init(4, 2), sp_init(2), _volume(2, 2, 4)),
+    "write_weights_csv": lambda: A.write_weights_csv(io.StringIO(), ["s0"], _volume(4)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(UNBATCHED))
+def test_every_batch_only_op_rejects_an_unbatched_input(op):
+    with pytest.raises(ShapeError):
+        UNBATCHED[op]()

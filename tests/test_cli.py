@@ -462,9 +462,31 @@ def test_a_config_that_cannot_be_read_is_a_clean_exit_that_writes_nothing(tmp_pa
     [
         ("", ["--seed", "-1"], "seed"),
         ("batch_size=0", [], "batch_size"),
+        ("batch_size=1", [], "batch_size"),
         ("epochs=-2", [], "epochs"),
+        ("learning_rate=nan", [], "learning_rate"),
+        ("learning_rate=inf", [], "learning_rate"),
+        ("learning_rate=0", [], "learning_rate"),
+        ("learning_rate=-0.001", [], "learning_rate"),
+        ("lr_decay=nan", [], "lr_decay"),
+        ("lr_decay=inf", [], "lr_decay"),
+        ("lr_decay=0", [], "lr_decay"),
+        ("lr_decay=-0.9", [], "lr_decay"),
     ],
-    ids=["seed", "batch_size", "epochs"],
+    ids=[
+        "seed",
+        "batch_size",
+        "batch_size_1",
+        "epochs",
+        "lr_nan",
+        "lr_inf",
+        "lr_zero",
+        "lr_negative",
+        "decay_nan",
+        "decay_inf",
+        "decay_zero",
+        "decay_negative",
+    ],
 )
 def test_train_with_a_negative_seed_an_empty_batch_or_negative_epochs_writes_nothing(
     tmp_path, synth_dir, capsys, config_line, extra, match
@@ -492,10 +514,18 @@ def test_ablate_with_a_negative_seed_is_a_clean_exit_before_any_run(tmp_path, sy
     assert not (tmp_path / "ablation.csv").exists()
 
 
-def test_synth_with_a_negative_seed_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "option, value, match",
+    [
+        ("--seed", "-1", "seed"),
+        *(("--test-fraction", v, "test fraction") for v in ("nan", "inf", "-1", "0", "1", "2")),
+    ],
+    ids=["seed", *(f"test_fraction_{v}" for v in ("nan", "inf", "-1", "0", "1", "2"))],
+)
+def test_synth_with_a_negative_seed_writes_nothing(tmp_path, capsys, option, value, match):
     out = tmp_path / "synth"
-    code = main(["synth", "--classes", "2", "--per-class", "3", "--size", "16", "--seed", "-1", "--out", str(out)])
-    _assert_clean_exit(code, capsys, "seed")
+    code = main(["synth", "--classes", "2", "--per-class", "3", "--size", "16", option, value, "--out", str(out)])
+    _assert_clean_exit(code, capsys, match)
     assert not out.exists()
 
 

@@ -47,6 +47,13 @@ def test_dense_gradients():
 # -- lstm ---------------------------------------------------------------------
 
 
+def one_sequence(run, *layers_and_seq):
+    """``run`` (``lstm_forward`` or ``blstm_forward``) on one sequence [T x in], as a batch
+    of one at axis 1."""
+    *layers, seq = layers_and_seq
+    return T.drop_batch_axis(run(*layers, T.add_batch_axis(seq, 1)), 1)
+
+
 def zero_lstm(n_in, hidden):
     layer = L.LstmLayer.init(n_in, hidden, np.random.default_rng(0))
     for _, p in layer.parameters():
@@ -56,7 +63,7 @@ def zero_lstm(n_in, hidden):
 
 def test_lstm_zero_parameters_outputs_zero():
     layer = zero_lstm(3, 4)
-    out = L.lstm_forward(layer, T.Tensor(np.random.default_rng(4).random((6, 3))))
+    out = one_sequence(L.lstm_forward, layer, T.Tensor(np.random.default_rng(4).random((6, 3))))
     assert out.shape == (6, 4)
     assert not out.data.any()
 
@@ -65,7 +72,7 @@ def test_lstm_single_step_matches_hand_cell():
     rng = np.random.default_rng(5)
     layer = L.LstmLayer.init(3, 2, rng)
     x = rng.standard_normal(3)
-    out = L.lstm_forward(layer, T.Tensor(x[None, :]))
+    out = one_sequence(L.lstm_forward, layer, T.Tensor(x[None, :]))
 
     gi = sigmoid(x @ layer.w["i"].data + layer.b["i"].data)
     gf = sigmoid(x @ layer.w["f"].data + layer.b["f"].data)
@@ -100,7 +107,7 @@ def test_lstm_gradients():
     layer = L.LstmLayer.init(3, 4, rng)
     seq = T.parameter(rng.standard_normal((5, 3)))
     params = [p for _, p in layer.parameters()] + [seq]
-    check_grad(lambda: T.tsum(L.lstm_forward(layer, seq)), params, 1e-4)
+    check_grad(lambda: T.tsum(one_sequence(L.lstm_forward, layer, seq)), params, 1e-4)
 
 
 def test_lstm_batched_matches_loop():
@@ -109,14 +116,14 @@ def test_lstm_batched_matches_loop():
     seqs = rng.standard_normal((5, 2, 3))
     batched = L.lstm_forward(layer, T.Tensor(seqs))
     for b in range(2):
-        single = L.lstm_forward(layer, T.Tensor(seqs[:, b, :]))
+        single = one_sequence(L.lstm_forward, layer, T.Tensor(seqs[:, b, :]))
         assert np.allclose(batched.data[:, b, :], single.data, atol=1e-15)
 
 
 def test_lstm_width_mismatch():
     layer = L.LstmLayer.init(3, 4, np.random.default_rng(8))
     with pytest.raises(ShapeError):
-        L.lstm_forward(layer, T.Tensor(np.zeros((5, 2))))
+        one_sequence(L.lstm_forward, layer, T.Tensor(np.zeros((5, 2))))
 
 
 # -- blstm -----------------------------------------------------------------------
@@ -126,21 +133,22 @@ def test_blstm_palindrome_center_symmetry():
     rng = np.random.default_rng(9)
     fwd = L.LstmLayer.init(2, 3, rng)
     seq = np.array([[0.3, -0.2], [1.0, 0.5], [0.3, -0.2]])
-    out = L.blstm_forward(fwd, fwd, T.Tensor(seq))
+    out = one_sequence(L.blstm_forward, fwd, fwd, T.Tensor(seq))
     assert out.shape == (3, 6)
     assert np.allclose(out.data[1, :3], out.data[1, 3:], atol=1e-14)
 
 
 def test_blstm_zero_parameters():
     layer = zero_lstm(2, 3)
-    out = L.blstm_forward(layer, layer, T.Tensor(np.random.default_rng(10).random((4, 2))))
+    out = one_sequence(L.blstm_forward, layer, layer, T.Tensor(np.random.default_rng(10).random((4, 2))))
     assert not out.data.any()
 
 
 def test_blstm_hidden_mismatch():
     rng = np.random.default_rng(11)
     with pytest.raises(ConfigError):
-        L.blstm_forward(L.LstmLayer.init(2, 3, rng), L.LstmLayer.init(2, 4, rng), T.Tensor(np.zeros((2, 2))))
+        fwd, bwd = L.LstmLayer.init(2, 3, rng), L.LstmLayer.init(2, 4, rng)
+        one_sequence(L.blstm_forward, fwd, bwd, T.Tensor(np.zeros((2, 2))))
 
 
 def test_blstm_gradients():
@@ -149,7 +157,7 @@ def test_blstm_gradients():
     bwd = L.LstmLayer.init(2, 3, rng)
     seq = T.parameter(rng.standard_normal((4, 2)))
     params = [p for _, p in fwd.parameters()] + [p for _, p in bwd.parameters()] + [seq]
-    check_grad(lambda: T.tsum(L.blstm_forward(fwd, bwd, seq)), params, 1e-4)
+    check_grad(lambda: T.tsum(one_sequence(L.blstm_forward, fwd, bwd, seq)), params, 1e-4)
 
 
 def test_blstm_every_step_sees_whole_sequence():
@@ -157,11 +165,11 @@ def test_blstm_every_step_sees_whole_sequence():
     fwd = L.LstmLayer.init(2, 3, rng)
     bwd = L.LstmLayer.init(2, 3, rng)
     base = rng.standard_normal((5, 2))
-    ref = L.blstm_forward(fwd, bwd, T.Tensor(base)).data
+    ref = one_sequence(L.blstm_forward, fwd, bwd, T.Tensor(base)).data
     for t in range(5):
         bumped = base.copy()
         bumped[t] += 0.5
-        out = L.blstm_forward(fwd, bwd, T.Tensor(bumped)).data
+        out = one_sequence(L.blstm_forward, fwd, bwd, T.Tensor(bumped)).data
         for s in range(5):
             assert not np.array_equal(out[s], ref[s]), f"step {s} ignored input step {t}"
 
@@ -247,26 +255,26 @@ def test_dropout_rate_validation():
 
 
 def test_maxpool_constant():
-    out = L.maxpool2d(T.Tensor(np.full((4, 4, 2), 7.0)))
+    out = T.drop_batch_axis(L.maxpool2d(T.add_batch_axis(T.Tensor(np.full((4, 4, 2), 7.0)))))
     assert out.shape == (2, 2, 2)
     assert np.all(out.data == 7.0)
 
 
 def test_maxpool_hand_case():
-    out = L.maxpool2d(T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)))
+    out = L.maxpool2d(T.add_batch_axis(T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))))
     assert out.data.reshape(-1).tolist() == [4.0]
 
 
 def test_maxpool_odd_dims_error():
     with pytest.raises(ShapeError):
-        L.maxpool2d(T.Tensor(np.zeros((3, 4, 1))))
+        L.maxpool2d(T.add_batch_axis(T.Tensor(np.zeros((3, 4, 1)))))
 
 
 def test_maxpool_gradients():
     rng = np.random.default_rng(18)
     x = T.parameter(rng.standard_normal((8, 8, 3)))
     g = T.Tensor(rng.standard_normal((4, 4, 3)))
-    check_grad(lambda: T.tsum(L.maxpool2d(x) * g), [x], 1e-6)
+    check_grad(lambda: T.tsum(T.drop_batch_axis(L.maxpool2d(T.add_batch_axis(x))) * g), [x], 1e-6)
 
 
 # -- backbone -------------------------------------------------------------------------
@@ -278,7 +286,8 @@ def test_backbone_output_shape_property(n_stages, scale):
     widths = tuple(2 * (i + 1) for i in range(n_stages))
     backbone = L.ConvBackbone.init(3, widths, np.random.default_rng(19))
     extent = (2**n_stages) * scale
-    out = backbone.forward(T.Tensor(np.random.default_rng(20).random((extent, extent, 3))))
+    x = T.Tensor(np.random.default_rng(20).random((extent, extent, 3)))
+    out = T.drop_batch_axis(backbone.forward(T.add_batch_axis(x)))
     assert out.shape == (scale, scale, widths[-1])
 
 
@@ -286,7 +295,7 @@ def test_backbone_gradients_flow_to_all_stages():
     rng = np.random.default_rng(22)
     backbone = L.ConvBackbone.init(3, (2, 3), rng)
     x = T.Tensor(rng.random((8, 8, 3)))
-    loss = T.tsum(backbone.forward(x) * T.Tensor(rng.standard_normal((2, 2, 3))))
+    loss = T.tsum(T.drop_batch_axis(backbone.forward(T.add_batch_axis(x))) * T.Tensor(rng.standard_normal((2, 2, 3))))
     params = [p for _, p in backbone.parameters()]
     T.backward(loss, params)
     for name, p in backbone.parameters():

@@ -549,7 +549,10 @@ def test_config_validation_rejects_degenerate_values():
         dict(lstm_hidden=0),
         dict(seed=-1),
         dict(batch_size=0),
+        dict(batch_size=1),
         dict(epochs=-2),
+        *(dict(learning_rate=v) for v in (float("nan"), float("inf"), 0.0, -1e-3)),
+        *(dict(lr_decay=v) for v in (float("nan"), float("inf"), 0.0, -0.9)),
     ):
         with pytest.raises(ConfigError):
             tiny_cfg(**overrides)

@@ -27,6 +27,11 @@ def _load(path, name):
     return module
 
 
+def _called_name(call: ast.Call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _open_mode(call: ast.Call):
     """The mode argument of an ``open(...)`` / ``x.open(...)`` call, None when it has none."""
     if isinstance(call.func, ast.Attribute) and call.func.attr == "open":
@@ -40,8 +45,7 @@ def _open_mode(call: ast.Call):
 
 
 def _writes(call: ast.Call) -> bool:
-    func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    name = _called_name(call)
     if name in ("write_text", "write_bytes"):
         return True
     if name != "open":
@@ -66,6 +70,34 @@ def test_every_file_the_package_writes_goes_through_atomic_write():
             if isinstance(node, ast.Call) and id(node) not in allowed and _writes(node):
                 offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not offenders, "files opened for writing outside atomic_write:\n" + "\n".join(offenders)
+
+
+BATCH_OF_ONE = ("add_batch_axis", "drop_batch_axis")
+OP_MODULES = ("tensor.py", "layers.py", "attention.py")
+
+
+def _is_ndim_equality(node) -> bool:
+    """``x.ndim == k``: a branch on the rank, where a batch-only op has a check (``!=``)."""
+    operands = [node.left, *node.comparators]
+    return any(isinstance(op, ast.Eq) for op in node.ops) and any(
+        isinstance(o, ast.Attribute) and o.attr == "ndim" for o in operands
+    )
+
+
+def test_the_batch_of_one_boundary_stays_with_the_callers():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in BATCH_OF_ONE:
+                allowed.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed and _called_name(node) in BATCH_OF_ONE:
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            if path.name in OP_MODULES and isinstance(node, ast.Compare) and _is_ndim_equality(node):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not offenders, "ops that take one sample themselves instead of batches only:\n" + "\n".join(offenders)
 
 
 def test_every_name_the_bench_tracer_wraps_exists_with_the_kind_it_names():

@@ -74,7 +74,7 @@ def test_conv2d_selector_kernel_copies_channel():
     rng = np.random.default_rng(1)
     x = T.Tensor(rng.random((4, 4, 2)))
     k = T.Tensor(np.array([1.0, 0.0]).reshape(1, 1, 2, 1))
-    out = T.conv2d(x, k, T.Tensor(np.zeros(1)))
+    out = T.drop_batch_axis(T.conv2d(T.add_batch_axis(x), k, T.Tensor(np.zeros(1))))
     assert np.array_equal(out.data[..., 0], x.data[..., 0])
 
 
@@ -82,7 +82,7 @@ def test_conv2d_all_ones_sum():
     # same padding: the interior sees all 9 taps, an edge 6 and a corner 4
     x = T.Tensor(np.ones((3, 3, 1)))
     k = T.Tensor(np.ones((3, 3, 1, 1)))
-    out = T.conv2d(x, k, T.Tensor(np.zeros(1)))
+    out = T.drop_batch_axis(T.conv2d(T.add_batch_axis(x), k, T.Tensor(np.zeros(1))))
     assert out.data.shape == (3, 3, 1)
     assert out.data[1, 1, 0] == 9.0
     assert np.array_equal(out.data[..., 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
@@ -100,7 +100,7 @@ def test_conv2d_gradients():
     k = T.parameter(rng.standard_normal((3, 3, 2, 4)))
     b = T.parameter(rng.standard_normal(4))
     w = T.Tensor(rng.standard_normal((5, 5, 4)))
-    check_grad(lambda: T.tsum(T.conv2d(x, k, b) * w), [x, k, b], 1e-5)
+    check_grad(lambda: T.tsum(T.drop_batch_axis(T.conv2d(T.add_batch_axis(x), k, b)) * w), [x, k, b], 1e-5)
 
 
 def test_conv2d_batched_matches_per_sample():
@@ -110,7 +110,7 @@ def test_conv2d_batched_matches_per_sample():
     b = T.Tensor(rng.standard_normal(4))
     batched = T.conv2d(T.Tensor(xs), k, b)
     for i in range(3):
-        single = T.conv2d(T.Tensor(xs[i]), k, b)
+        single = T.drop_batch_axis(T.conv2d(T.add_batch_axis(T.Tensor(xs[i])), k, b))
         assert np.array_equal(batched.data[i], single.data)
 
 
@@ -119,15 +119,13 @@ def one_shot_conv(x, k, b, padding):
 
     ``padding`` "same" pads (k-1)//2 before and the rest of k-1 after; "valid" pads nothing.
     """
-    x4 = x if x.ndim == 4 else x[None]
     kh, kw = k.shape[:2]
     if padding == "same":
         pt, pl = (kh - 1) // 2, (kw - 1) // 2
-        x4 = np.pad(x4, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
-    win = sliding_window_view(x4, (kh, kw), axis=(1, 2))
+        x = np.pad(x, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
     cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
-    out = np.tensordot(cols, k, axes=([3, 4, 5], [0, 1, 2])) + b
-    return out if x.ndim == 4 else out[0]
+    return np.tensordot(cols, k, axes=([3, 4, 5], [0, 1, 2])) + b
 
 
 # (input shape, kernel extent, reference padding). Every case has more im2col elements
@@ -139,7 +137,6 @@ SPANNING_CASES = {
     "several_images_per_block": ((30, 10, 10, 3), 3, "same"),
     "kernel_1": ((3, 80, 80, 4), 1, "same"),
     "valid_padding": ((2, 60, 60, 3), 5, "valid"),
-    "unbatched": ((70, 70, 4), 3, "same"),
 }
 
 
@@ -152,7 +149,7 @@ def test_conv2d_blocked_forward_is_bit_identical_to_one_shot_im2col(case):
     b = rng.standard_normal(8)
     expected = one_shot_conv(x, k, b, padding)
     positions = int(np.prod(expected.shape[:-1]))
-    per_image = positions // (shape[0] if len(shape) == 4 else 1)
+    per_image = positions // shape[0]
     assert positions * kk * kk * shape[-1] > T.CONV_BLOCK
     if case == "several_images_per_block":
         assert 2 * per_image * kk * kk * shape[-1] <= T.CONV_BLOCK
@@ -199,15 +196,15 @@ def test_conv2d_stage0_forward_stays_well_below_one_cols_buffer():
 
 
 def test_channel_concat_paper_shape():
-    a = T.Tensor(np.zeros((7, 7, 512)))
-    b = T.Tensor(np.zeros((7, 7, 512)))
-    assert T.channel_concat(a, b).shape == (7, 7, 1024)
+    a = T.add_batch_axis(T.Tensor(np.zeros((7, 7, 512))))
+    b = T.add_batch_axis(T.Tensor(np.zeros((7, 7, 512))))
+    assert T.drop_batch_axis(T.channel_concat(a, b)).shape == (7, 7, 1024)
 
 
 def test_channel_concat_zero_block():
     rng = np.random.default_rng(7)
     x = T.Tensor(rng.random((3, 3, 4)))
-    out = T.channel_concat(x, T.Tensor(np.zeros_like(x.data)))
+    out = T.drop_batch_axis(T.channel_concat(T.add_batch_axis(x), T.add_batch_axis(T.Tensor(np.zeros_like(x.data)))))
     assert np.array_equal(out.data[..., :4], x.data)
     assert not out.data[..., 4:].any()
 
@@ -215,7 +212,7 @@ def test_channel_concat_zero_block():
 def test_channel_concat_index_placement():
     a = T.Tensor(np.arange(4.0).reshape(2, 2, 1))
     b = T.Tensor(np.arange(4.0, 8.0).reshape(2, 2, 1))
-    out = T.channel_concat(a, b)
+    out = T.drop_batch_axis(T.channel_concat(T.add_batch_axis(a), T.add_batch_axis(b)))
     for i in range(2):
         for j in range(2):
             assert out.data[i, j, 0] == a.data[i, j, 0]
@@ -224,7 +221,7 @@ def test_channel_concat_index_placement():
 
 def test_channel_concat_spatial_mismatch():
     with pytest.raises(ShapeError):
-        T.channel_concat(T.Tensor(np.zeros((2, 2, 1))), T.Tensor(np.zeros((3, 3, 1))))
+        T.channel_concat(*(T.add_batch_axis(T.Tensor(np.zeros((m, m, 1)))) for m in (2, 3)))
 
 
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
@@ -233,7 +230,7 @@ def test_concat_then_slice_identity(m, ka, kb, seed):
     rng = np.random.default_rng(seed)
     a = rng.random((m, m, ka))
     b = rng.random((m, m, kb))
-    out = T.channel_concat(T.Tensor(a), T.Tensor(b))
+    out = T.drop_batch_axis(T.channel_concat(T.add_batch_axis(T.Tensor(a)), T.add_batch_axis(T.Tensor(b))))
     assert np.array_equal(out.data[..., :ka], a)
     assert np.array_equal(out.data[..., ka:], b)
 
@@ -242,16 +239,18 @@ def test_channel_concat_backward_splits():
     a = T.parameter(np.random.default_rng(8).random((2, 2, 2)))
     b = T.parameter(np.random.default_rng(9).random((2, 2, 3)))
     w = T.Tensor(np.random.default_rng(10).random((2, 2, 5)))
-    check_grad(lambda: T.tsum(T.channel_concat(a, b) * w), [a, b], 1e-6)
+    check_grad(
+        lambda: T.tsum(T.drop_batch_axis(T.channel_concat(T.add_batch_axis(a), T.add_batch_axis(b))) * w), [a, b], 1e-6
+    )
 
 
 def test_broadcast_mul_channel_identity_and_half():
     rng = np.random.default_rng(11)
-    f = T.Tensor(rng.random((3, 3, 5)))
-    ones = T.Tensor(np.ones(5))
-    assert np.array_equal(T.broadcast_mul_channel(f, ones).data, f.data)
-    half = T.broadcast_mul_channel(f, T.Tensor(np.full(5, 0.5)))
-    assert np.array_equal(half.data, 0.5 * f.data)
+    f = T.add_batch_axis(T.Tensor(rng.random((3, 3, 5))))
+    ones = T.add_batch_axis(T.Tensor(np.ones(5)))
+    assert np.array_equal(T.drop_batch_axis(T.broadcast_mul_channel(f, ones)).data, f.data[0])
+    half = T.drop_batch_axis(T.broadcast_mul_channel(f, T.add_batch_axis(T.Tensor(np.full(5, 0.5)))))
+    assert np.array_equal(half.data, 0.5 * f.data[0])
 
 
 def test_broadcast_mul_channel_gradients():
@@ -259,21 +258,29 @@ def test_broadcast_mul_channel_gradients():
     f = T.parameter(rng.standard_normal((3, 3, 4)))
     w = T.parameter(rng.standard_normal(4))
     g = T.Tensor(rng.standard_normal((3, 3, 4)))
-    check_grad(lambda: T.tsum(T.broadcast_mul_channel(f, w) * g), [f, w], 1e-6)
+    check_grad(
+        lambda: T.tsum(T.drop_batch_axis(T.broadcast_mul_channel(T.add_batch_axis(f), T.add_batch_axis(w))) * g),
+        [f, w],
+        1e-6,
+    )
 
 
 def test_broadcast_mul_channel_length_mismatch():
     with pytest.raises(ShapeError):
-        T.broadcast_mul_channel(T.Tensor(np.zeros((2, 2, 3))), T.Tensor(np.zeros(4)))
+        T.broadcast_mul_channel(*(T.add_batch_axis(T.Tensor(np.zeros(shape))) for shape in ((2, 2, 3), (4,))))
 
 
 def test_broadcast_mul_spatial_identity_and_mask():
     rng = np.random.default_rng(13)
     f = T.Tensor(rng.random((3, 3, 4)))
-    assert np.array_equal(T.broadcast_mul_spatial(f, T.Tensor(np.ones((3, 3)))).data, f.data)
+
+    def gate(w):
+        return T.drop_batch_axis(T.broadcast_mul_spatial(T.add_batch_axis(f), T.add_batch_axis(T.Tensor(w))))
+
+    assert np.array_equal(gate(np.ones((3, 3))).data, f.data)
     mask = np.zeros((3, 3))
     mask[0, 0] = 1.0
-    out = T.broadcast_mul_spatial(f, T.Tensor(mask))
+    out = gate(mask)
     assert np.array_equal(out.data[0, 0], f.data[0, 0])
     assert not out.data[1:].any() and not out.data[0, 1:].any()
 
@@ -283,12 +290,16 @@ def test_broadcast_mul_spatial_gradients():
     f = T.parameter(rng.standard_normal((3, 3, 4)))
     w = T.parameter(rng.standard_normal((3, 3)))
     g = T.Tensor(rng.standard_normal((3, 3, 4)))
-    check_grad(lambda: T.tsum(T.broadcast_mul_spatial(f, w) * g), [f, w], 1e-6)
+    check_grad(
+        lambda: T.tsum(T.drop_batch_axis(T.broadcast_mul_spatial(T.add_batch_axis(f), T.add_batch_axis(w))) * g),
+        [f, w],
+        1e-6,
+    )
 
 
 def test_broadcast_mul_spatial_mismatch():
     with pytest.raises(ShapeError):
-        T.broadcast_mul_spatial(T.Tensor(np.zeros((2, 2, 3))), T.Tensor(np.zeros((3, 3))))
+        T.broadcast_mul_spatial(*(T.add_batch_axis(T.Tensor(np.zeros(shape))) for shape in ((2, 2, 3), (3, 3))))
 
 
 # -- channel pooling --------------------------------------------------------
@@ -296,15 +307,15 @@ def test_broadcast_mul_spatial_mismatch():
 
 def test_channel_pool_singleton_identity():
     x = T.Tensor(np.random.default_rng(15).random((3, 3, 1)))
-    assert np.array_equal(T.channel_pool(x, "avg").data, x.data)
-    assert np.array_equal(T.channel_pool(x, "max").data, x.data)
+    assert np.array_equal(T.drop_batch_axis(T.channel_pool(T.add_batch_axis(x), "avg")).data, x.data)
+    assert np.array_equal(T.drop_batch_axis(T.channel_pool(T.add_batch_axis(x), "max")).data, x.data)
 
 
 def test_channel_pool_hand_values():
     f = np.empty((2, 2, 2))
     f[..., 0] = 2.0
     f[..., 1] = 4.0
-    t = T.Tensor(f)
+    t = T.add_batch_axis(T.Tensor(f))
     assert np.all(T.channel_pool(t, "avg").data == 3.0)
     assert np.all(T.channel_pool(t, "max").data == 4.0)
 
@@ -313,11 +324,8 @@ def test_channel_pool_gradients():
     rng = np.random.default_rng(16)
     f = T.parameter(rng.standard_normal((4, 4, 8)))
     g = T.Tensor(rng.standard_normal((4, 4, 1)))
-    check_grad(lambda: T.tsum(T.channel_pool(f, "avg") * g), [f], 1e-6)
-    check_grad(lambda: T.tsum(T.channel_pool(f, "max") * g), [f], 1e-6)
-
-
-RANKS = pytest.mark.parametrize("lead", [(), (2,)], ids=["rank3", "rank4"])
+    for mode in ("avg", "max"):
+        check_grad(lambda: T.tsum(T.drop_batch_axis(T.channel_pool(T.add_batch_axis(f), mode)) * g), [f], 1e-6)
 
 
 def _sweep(out, params, seed):
@@ -327,24 +335,22 @@ def _sweep(out, params, seed):
     return g
 
 
-@RANKS
-def test_channel_gate_is_the_broadcast_product_bit_for_bit(lead):
+def test_channel_gate_is_the_broadcast_product_bit_for_bit():
     rng = np.random.default_rng(40)
-    f = T.parameter(rng.standard_normal(lead + (3, 5, 4)))
-    w = T.parameter(rng.standard_normal(lead + (4,)))
+    f = T.parameter(rng.standard_normal((2, 3, 5, 4)))
+    w = T.parameter(rng.standard_normal((2, 4)))
     out = T.broadcast_mul_channel(f, w)
     g = _sweep(out, [f, w], 41)
-    wb = w.data[..., None, None, :]
+    wb = w.data[:, None, None, :]
     assert np.array_equal(out.data, f.data * wb)
     assert np.array_equal(f.grad, g * wb)
-    assert np.array_equal(w.grad, (g * f.data).sum(axis=(-3, -2)))
+    assert np.array_equal(w.grad, (g * f.data).sum(axis=(1, 2)))
 
 
-@RANKS
-def test_spatial_gate_is_the_broadcast_product_bit_for_bit(lead):
+def test_spatial_gate_is_the_broadcast_product_bit_for_bit():
     rng = np.random.default_rng(42)
-    f = T.parameter(rng.standard_normal(lead + (3, 5, 4)))
-    w = T.parameter(rng.standard_normal(lead + (3, 5)))
+    f = T.parameter(rng.standard_normal((2, 3, 5, 4)))
+    w = T.parameter(rng.standard_normal((2, 3, 5)))
     out = T.broadcast_mul_spatial(f, w)
     g = _sweep(out, [f, w], 43)
     assert np.array_equal(out.data, f.data * w.data[..., None])
@@ -352,9 +358,8 @@ def test_spatial_gate_is_the_broadcast_product_bit_for_bit(lead):
     assert np.array_equal(w.grad, (g * f.data).sum(axis=-1))
 
 
-@RANKS
-def test_channel_pool_avg_is_numpy_mean_bit_for_bit(lead):
-    f = T.parameter(np.random.default_rng(44).standard_normal(lead + (3, 5, 7)))
+def test_channel_pool_avg_is_numpy_mean_bit_for_bit():
+    f = T.parameter(np.random.default_rng(44).standard_normal((2, 3, 5, 7)))
     out = T.channel_pool(f, "avg")
     g = _sweep(out, [f], 45)
     assert np.array_equal(out.data, f.data.mean(axis=-1, keepdims=True))
@@ -370,7 +375,7 @@ def test_channel_gate_rejects_weights_of_another_batch_or_rank():
 
 def test_channel_pool_max_tie_routes_to_first():
     f = T.parameter(np.array([[[2.0, 2.0, 1.0]]]))
-    out = T.channel_pool(f, "max")
+    out = T.channel_pool(T.add_batch_axis(f), "max")
     T.backward(T.tsum(out), [f])
     assert f.grad.tolist() == [[[1.0, 0.0, 0.0]]]
 
@@ -558,7 +563,7 @@ def test_index_and_flip_axis0():
 
 def test_maxpool2x2_values_and_grad():
     x = T.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
-    out = T.maxpool2x2(x)
+    out = T.maxpool2x2(T.add_batch_axis(x))
     assert out.data.reshape(-1).tolist() == [4.0]
     T.backward(T.tsum(out), [x])
     assert x.grad.reshape(-1).tolist() == [0.0, 0.0, 0.0, 1.0]
@@ -590,11 +595,11 @@ def test_maxpool2x2_tie_routes_to_first_in_row_major_order():
         x[:, 2 * k : 2 * k + 2, 0] = w
         want[di, 2 * k + dj, 0] = 1.0
     p = T.parameter(x)
-    T.backward(T.tsum(T.maxpool2x2(p)), [p])
+    T.backward(T.tsum(T.maxpool2x2(T.add_batch_axis(p))), [p])
     assert np.array_equal(p.grad, want)
 
     rng = np.random.default_rng(30)
-    for shape in [(4, 6, 3), (3, 4, 6, 2)]:
+    for shape in [(1, 4, 6, 3), (3, 4, 6, 2)]:
         x = rng.integers(0, 2, size=shape).astype(float)  # ties in most windows
         p = T.parameter(x)
         out = T.maxpool2x2(p)
@@ -605,9 +610,9 @@ def test_maxpool2x2_tie_routes_to_first_in_row_major_order():
 
 def test_maxpool2x2_commutes_with_relu_in_value_and_gradient():
     rng = np.random.default_rng(31)
-    for shape in [(4, 4, 2), (2, 4, 6, 3)]:
+    for shape in [(1, 4, 4, 2), (2, 4, 6, 3)]:
         x = rng.integers(-2, 3, size=shape).astype(float)  # zero and negative ties
-        g = rng.standard_normal(shape[:-3] + (shape[-3] // 2, shape[-2] // 2, shape[-1]))
+        g = rng.standard_normal((shape[0], shape[1] // 2, shape[2] // 2, shape[3]))
         results = []
         for order in ("pool_relu", "relu_pool"):
             p = T.parameter(x.copy())
@@ -618,11 +623,10 @@ def test_maxpool2x2_commutes_with_relu_in_value_and_gradient():
         assert np.array_equal(results[0][1], results[1][1])
 
 
-# (input, Cout): rank 3 and rank 4; a constant input, whose interior windows all tie;
+# (input, Cout): a small batch; a constant input, whose interior windows all tie;
 # 112x112, whose stage-0 conv blocks are row bands; and a batch of 30 that groups of 24
 # whole images do not divide.
 FUSED_CASES = {
-    "rank3": (np.random.default_rng(50).standard_normal((6, 8, 3)), 4),
     "rank4": (np.random.default_rng(51).standard_normal((3, 8, 6, 2)), 5),
     "constant_ties": (np.full((2, 6, 6, 3), 0.5), 4),
     "row_bands": (np.random.default_rng(52).random((1, 112, 112, 3)), 8),
@@ -865,7 +869,7 @@ def test_branches_record_no_graph_under_no_grad():
 
 def test_all_finite_after_public_ops():
     rng = np.random.default_rng(26)
-    x = T.Tensor(rng.standard_normal((4, 4, 3)) * 100)
+    x = T.add_batch_axis(T.Tensor(rng.standard_normal((4, 4, 3)) * 100))
     k = T.Tensor(rng.standard_normal((3, 3, 3, 2)))
     for out in (
         T.conv2d(x, k, T.Tensor(np.zeros(2))),
