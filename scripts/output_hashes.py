@@ -37,11 +37,20 @@ two outputs names each artefact that moved:
 
     python3 scripts/output_hashes.py > after.txt
 
+Run with no names, it first prints a ``#`` line keying the hashes on what besides the
+code decides them: the numpy version and the OpenBLAS runtime config string (which
+names the CPU kernels in use). ``tests/golden/output_hashes.txt`` is that output, and a
+tier-1 test compares the checkout against it wherever the key matches. After a change
+that moves outputs on purpose, re-record it with
+
+    python3 scripts/output_hashes.py > tests/golden/output_hashes.txt
+
 The script imports the package from the ``src/`` beside it, so it needs no
 ``PYTHONPATH`` and always hashes the checkout it sits in.
 """
 
 import argparse
+import ctypes
 import hashlib
 import sys
 import tempfile
@@ -112,6 +121,18 @@ AUGMENTS = (
 def digest(a) -> str:
     a = np.ascontiguousarray(a)
     return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+def numeric_key() -> str:
+    """The numpy version and the OpenBLAS config string of the library numpy loaded."""
+    here = Path(np.__file__).parent
+    for lib in sorted((here.parent / "numpy.libs").glob("*openblas*")) + sorted((here / ".libs").glob("*openblas*")):
+        for symbol in ("scipy_openblas_get_config64_", "openblas_get_config64_", "openblas_get_config"):
+            fn = getattr(ctypes.CDLL(lib), symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return f"numpy {np.__version__}; {fn().decode()}"
+    return f"numpy {np.__version__}; no OpenBLAS found"
 
 
 def output_hashes(name: str):
@@ -210,6 +231,8 @@ def main(argv=None) -> int:
     for name in args.names:
         if name not in NAMES:
             parser.error(f"unknown name {name!r}")
+    if not args.names:
+        print(f"# {numeric_key()}")
     for name in args.names or NAMES:
         for artefact, sha in HASHERS[name]() if name in HASHERS else output_hashes(name):
             print(f"{artefact} {sha}")

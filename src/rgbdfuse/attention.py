@@ -4,8 +4,8 @@ Level one gates whole feature maps: each map is flattened to a vector, the
 resulting sequence is encoded by an LSTM stack (or scored directly by a shared
 dense layer), and a per-map score squashed to (0, 1) scales that map. Level
 two gates spatial positions: channel-wise average and max maps are stacked and
-reduced to a single map by a 1x1 convolution (or a dense layer), squashed, and
-broadcast over channels.
+reduced to a single map by one affine map (a 1x1 convolution, run as a matmul over
+positions, or a dense layer over whole maps), squashed, and broadcast over channels.
 
 Both modules run on a batch [B x M x M x C] and return weights per sample.
 They take batches only: a caller holding one volume [M x M x C] passes it
@@ -122,30 +122,30 @@ def feature_map_attention(att: FeatureMapAttention, f: Tensor):
 
 @dataclass
 class SpatialAttention:
-    """Per-position gating weights in (0, 1) and the gated volume."""
+    """Per-position gating weights in (0, 1) and the gated volume, from one affine map
+    ``sigmoid(rows @ weights + bias)`` of the pooled [B x M x M x 2] maps. ``conv`` takes a
+    row of 2 per position, so its [1 x 1 x 2 x 1] kernel is a 1x1 convolution with one bias;
+    ``dense`` takes a row of 2 M^2 per sample, mapped by [2 M^2 x M^2] weights to M^2 scores."""
 
     variant: str
     map_extent: int
-    kernels: Tensor | None = None
-    bias: Tensor | None = None
-    dense: DenseLayer | None = None
+    weights: Tensor
+    bias: Tensor
     bypass: bool = False
 
     @classmethod
     def init(cls, map_extent: int, rng, variant: str = "conv") -> "SpatialAttention":
         if variant not in SPATIAL_VARIANTS:
             raise ConfigError(f"spatial attention variant must be one of {SPATIAL_VARIANTS}, got {variant!r}")
-        if variant == "conv":
-            bound = 1.0 / np.sqrt(2.0)
-            kernels = T.parameter(rng.uniform(-bound, bound, size=(1, 1, 2, 1)))
-            return cls(variant, map_extent, kernels, T.parameter(np.zeros(1)))
         m2 = map_extent * map_extent
-        return cls(variant, map_extent, dense=DenseLayer.init(2 * m2, m2, rng))
+        shape = (1, 1, 2, 1) if variant == "conv" else (2 * m2, m2)
+        bound = 1.0 / np.sqrt(np.prod(shape[:-1]))  # fan-in scaled, as DenseLayer.init draws
+        weights = T.parameter(rng.uniform(-bound, bound, size=shape))
+        return cls(variant, map_extent, weights, T.parameter(np.zeros(shape[-1])))
 
     def parameters(self):
-        if self.variant == "conv":
-            return [("conv.kernels", self.kernels), ("conv.bias", self.bias)]
-        return [(f"dense.{n}", p) for n, p in self.dense.parameters()]
+        names = ("conv.kernels", "conv.bias") if self.variant == "conv" else ("dense.w", "dense.b")
+        return list(zip(names, (self.weights, self.bias)))
 
 
 def spatial_attention(att: SpatialAttention, f: Tensor):
@@ -162,12 +162,9 @@ def spatial_attention(att: SpatialAttention, f: Tensor):
         weights = Tensor(np.ones((b, m, m)))
     else:
         pooled = T.channel_concat(T.channel_pool(f, "avg"), T.channel_pool(f, "max"))  # [B,M,M,2]
-        if att.variant == "conv":
-            theta = T.conv2d(pooled, att.kernels, att.bias)
-            weights = T.reshape(T.sigmoid(theta), (b, m, m))
-        else:
-            flat = T.reshape(pooled, (b, 2 * m * m))
-            weights = T.sigmoid(T.reshape(dense_forward(att.dense, flat), (b, m, m)))
+        rows = T.reshape(pooled, (b * m * m, 2) if att.variant == "conv" else (b, 2 * m * m))
+        theta = T.matmul(rows, T.reshape(att.weights, (rows.shape[1], -1))) + att.bias
+        weights = T.sigmoid(T.reshape(theta, (b, m, m)))
     return weights, T.broadcast_mul_spatial(f, weights)
 
 

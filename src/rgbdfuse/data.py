@@ -172,11 +172,17 @@ def make_batches(records, batch_size: int, seed: int):
     for start in range(0, len(records), batch_size):
         chunk = [records[i] for i in order[start : start + batch_size]]
         rgbs, depths = zip(*(_load_pair(r) for r in chunk))
+        sample_ids = [f"{r.subject}/{r.sample}" for r in chunk]
+        for kind, images in (("rgb", rgbs), ("depth", depths)):
+            for sid, image in zip(sample_ids, images):
+                if image.shape != images[0].shape:
+                    sizes = f"{image.shape[:2]}, {sample_ids[0]} in its batch {images[0].shape[:2]}"
+                    raise DataError(f"{kind} image {sid} is {sizes}: a batch needs one image size")
         yield Batch(
             rgb=Tensor(np.stack(rgbs)),
             depth=Tensor(np.stack(depths)),
             labels=np.array([r.label for r in chunk], dtype=np.int64),
-            sample_ids=[f"{r.subject}/{r.sample}" for r in chunk],
+            sample_ids=sample_ids,
         )
 
 

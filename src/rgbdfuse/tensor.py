@@ -429,17 +429,17 @@ def _conv_backward(g: np.ndarray, x: Tensor, kernels: Tensor, bias: Tensor) -> N
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Same-padded, stride-1 2-D cross-correlation plus per-channel bias.
+    """Same-padded, stride-1 2-D cross-correlation plus per-channel bias: no model layer
+    calls it; it is the reference the tests hold :func:`conv_pool_relu` and the spatial
+    gate's 1x1 matmul to.
 
     ``x`` is [B x H x W x Cin]; ``kernels`` is [kh x kw x Cin x Cout]; ``bias``
     is [Cout]. The output keeps the input's H x W: the input is zero-padded by
     (kh-1)//2 rows before and the rest of kh-1 after, and likewise for the width.
 
-    The im2col matrix is never built whole. Blocks of its rows are copied into
-    one cache-sized scratch buffer and multiplied into their rows of the output,
-    so each output element is the dot product a one-shot GEMM computes. The
-    graph keeps no padded copy of the input; backward pads it and copies the
-    blocks again.
+    The im2col matrix is never built whole: blocks of its rows pass through one cache-sized
+    scratch buffer into their output rows, each element the dot product a one-shot GEMM
+    computes. The graph keeps no padded input; backward pads it and copies the blocks again.
     """
     _check_conv(x, kernels, bias)
     kh, kw, _, cout = kernels.shape

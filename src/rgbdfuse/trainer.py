@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import DatasetManifest, make_batches, protocol_split
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, ShapeError, TrainingError
 from .model import Model, ModelConfig, build_model, config_to_text, save_checkpoint, save_config
 from .tensor import Tensor, atomic_write
 
@@ -258,15 +258,16 @@ def _train_step(model: Model, optimizer: Adam, batch) -> tuple[float, int]:
 
 
 def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = None, *, out_dir=None):
-    """Adam training with per-epoch evaluation and best-checkpoint retention.
+    """Adam training of ``model`` under ``model.cfg`` (``cfg`` may only repeat it), with
+    per-epoch evaluation; the best parameters are kept in memory and restored at the end.
 
-    The best parameters are kept in memory and restored at the end; with
-    ``out_dir`` they are then written once, as ``best.ckpt``, beside the reports.
-    Returns (RunReport, checkpoint path or None). On divergence (a non-finite
-    loss or gradient) the run stops, the best parameters are restored, the
-    checkpoint and reports are written, and TrainingError is raised.
-    """
-    cfg = cfg or model.cfg
+    With ``out_dir`` they are then written once, as ``best.ckpt``, beside the reports.
+    Returns (RunReport, checkpoint path or None). If an epoch fails (a non-finite loss or
+    gradient, a bad image) the best parameters are restored, the checkpoint and reports are
+    written with ``aborted=true``, and an error of the same type names the best epoch."""
+    if cfg is not None and cfg != model.cfg:
+        raise ConfigError("train reads every setting from model.cfg; pass cfg=None or model.cfg itself")
+    cfg = model.cfg
     protocol = f"fivefold:{cfg.fold}" if cfg.protocol == "fivefold" else cfg.protocol
     train_records, test_records = protocol_split(manifest, protocol)
 
@@ -292,40 +293,35 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
             if fm_means is not None:
                 report.fm_weight_rgb_mean, report.fm_weight_depth_mean = fm_means
 
+    def finish():  # restores the best parameters, then writes the checkpoint and reports
+        _restore(model, best)
+        report.wall_time_s = time.perf_counter() - started
+        if out_dir:
+            save_checkpoint(model, ckpt_path, epoch=report.best_epoch)
+            report.write_csv(out_dir / "report.csv")
+            report.write_summary_csv(out_dir / "summary.csv")
+            save_config(out_dir / "config.txt", cfg)
+
     evaluate_epoch(0)
 
-    failure = None  # why the run diverged
     for epoch in range(1, cfg.epochs + 1):
         optimizer.epoch = epoch - 1  # completed epochs drive the decay schedule
-        loss_sum = 0.0
-        hits = 0
-        seen = 0
-        for batch in make_batches(train_records, cfg.batch_size, seed=_epoch_seed(cfg.seed, epoch)):
-            if batch.labels.size < 2:
-                continue  # batchnorm train mode needs at least 2 samples
-            try:
+        loss_sum, hits, seen = 0.0, 0, 0
+        try:
+            for batch in make_batches(train_records, cfg.batch_size, seed=_epoch_seed(cfg.seed, epoch)):
+                if batch.labels.size < 2:
+                    continue  # batchnorm train mode needs at least 2 samples
                 batch_loss, batch_hits = _train_step(model, optimizer, batch)
-            except TrainingError as exc:
-                failure = str(exc)
-                break
-            loss_sum += batch_loss * batch.labels.size
-            hits += batch_hits
-            seen += batch.labels.size
-        if failure:
+                loss_sum += batch_loss * batch.labels.size
+                hits += batch_hits
+                seen += batch.labels.size
+            evaluate_epoch(epoch, loss_sum / max(seen, 1), hits / max(seen, 1))
+        except (TrainingError, DataError, ShapeError) as exc:
             report.aborted = True
-            break
-        evaluate_epoch(epoch, loss_sum / max(seen, 1), hits / max(seen, 1))
+            finish()
+            raise type(exc)(f"{exc}; best checkpoint from epoch {report.best_epoch} retained") from exc
 
-    _restore(model, best)
-    report.wall_time_s = time.perf_counter() - started
-
-    if out_dir:
-        save_checkpoint(model, ckpt_path, epoch=report.best_epoch)
-        report.write_csv(out_dir / "report.csv")
-        report.write_summary_csv(out_dir / "summary.csv")
-        save_config(out_dir / "config.txt", cfg)
-    if failure:
-        raise TrainingError(f"{failure}; best checkpoint from epoch {report.best_epoch} retained")
+    finish()
     return report, ckpt_path
 
 

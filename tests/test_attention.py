@@ -227,6 +227,56 @@ def test_spatial_bypass_identity():
     assert np.array_equal(refined.data, f.data)
 
 
+@pytest.mark.parametrize("b, m, c", [(1, 1, 3), (2, 4, 5), (20, 7, 64)])
+def test_spatial_conv_matches_its_conv2d_reference(b, m, c):
+    """The ``conv`` variant's matmul is the 1x1 ``conv2d`` it replaces: weights, volume and
+    kernel gradients bit for bit. The bias gradient sums the same N = B M^2 terms in another
+    order, so it agrees within 2 N eps sum|term|, the worst case for two orders of N terms."""
+    rng = np.random.default_rng(31)
+    att = sp_init(m, seed=32)
+    att.bias.data[:] = rng.standard_normal(1)
+    volume = rng.standard_normal((b, m, m, c))
+    g = rng.standard_normal((b, m, m))
+
+    def reference(f):
+        pooled = T.channel_concat(T.channel_pool(f, "avg"), T.channel_pool(f, "max"))
+        return T.reshape(T.sigmoid(T.conv2d(pooled, att.weights, att.bias)), (b, m, m))
+
+    grads = []
+    for gate in (lambda f: A.spatial_attention(att, f)[0], reference):
+        f = T.parameter(volume)
+        params = [f, att.weights, att.bias]
+        weights = gate(f)
+        T.backward(T.tsum(weights * T.Tensor(g)), params)
+        grads.append([weights.data] + [p.grad.copy() for p in params])
+        for p in params:
+            p.zero_grad()
+    (w, gf, gk, gb), (w_ref, gf_ref, gk_ref, gb_ref) = grads
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(gf, gf_ref)
+    assert np.array_equal(gk, gk_ref)
+    terms = g * w * (1.0 - w)  # each position's share of the bias gradient
+    assert gb.shape == gb_ref.shape == (1,)
+    assert abs(gb[0] - gb_ref[0]) <= 2 * terms.size * np.finfo(float).eps * np.abs(terms).sum()
+
+
+def test_a_two_level_train_step_runs_without_conv2d(monkeypatch):
+    from rgbdfuse.model import ModelConfig, build_model
+
+    def refuse(*args):
+        raise AssertionError("conv2d is a reference for tests, not on the model's path")
+
+    monkeypatch.setattr(T, "conv2d", refuse)
+    cfg = ModelConfig(input_size=16, backbone_widths=(2, 3), classifier_widths=(8, 6, 4), lstm_hidden=4, classes=3)
+    model = build_model(cfg)
+    assert cfg.fusion == "two_level" and cfg.spatial_variant == "conv"
+    rng = np.random.default_rng(33)
+    logits = model.forward(T.Tensor(rng.random((4, 16, 16, 3))), T.Tensor(rng.random((4, 16, 16, 1))), "train")
+    params = [p for _, p in model.parameters()]
+    T.backward(T.cross_entropy(logits, np.arange(4) % 3), params)
+    assert all(p.grad is not None and np.isfinite(p.grad).all() for p in params)
+
+
 # -- composition ------------------------------------------------------------------------
 
 

@@ -638,3 +638,58 @@ def test_an_image_size_too_big_to_allocate_is_a_clean_exit_that_writes_nothing(t
     out = tmp_path / "out"
     _assert_clean_exit(main(args + ["--size", size, "--out", str(out)]), capsys, "Unable to allocate")
     assert not out.exists()
+
+
+def _copy_with_one_train_record(tmp_path, synth_dir):
+    """A copy of the synthetic dataset and its first train record, whose images a test may spoil."""
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    return data / "manifest.csv", next(r for r in load_manifest(data / "manifest.csv").records if r.split == "train")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "embed"])
+@pytest.mark.parametrize("kind", ["rgb", "depth"])
+def test_images_of_two_sizes_in_one_batch_are_a_clean_exit(tmp_path, synth_dir, capsys, kind, command):
+    manifest, record = _copy_with_one_train_record(tmp_path, synth_dir)
+    if kind == "rgb":
+        netpbm.write_ppm(record.rgb, np.zeros((20, 20, 3), dtype=np.uint8))
+    else:
+        netpbm.write_pgm(record.depth, np.zeros((20, 20), dtype=np.uint8))
+    cfg_path, ckpt = tmp_path / "config.txt", tmp_path / "model.ckpt"
+    cfg_path.write_text(config_to_text(MICRO_CFG))
+    save_checkpoint(build_model(MICRO_CFG), ckpt)
+    args = {
+        "train": ["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+        "eval": ["eval", "--checkpoint", str(ckpt), "--split", "train"],
+        "embed": ["embed", "--checkpoint", str(ckpt), "--out", str(tmp_path / "emb.csv")],
+    }[command]
+    code = main(args + ["--manifest", str(manifest)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+    for part in (f"{kind} image", f"{record.subject}/{record.sample}", "(20, 20)", "(16, 16)"):
+        assert part in err, part
+
+
+def test_a_truncated_train_image_restores_the_best_and_writes_every_report(tmp_path, synth_dir, capsys):
+    manifest, record = _copy_with_one_train_record(tmp_path, synth_dir)
+    record.rgb.write_bytes(record.rgb.read_bytes()[:-7])
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config_to_text(MICRO_CFG))
+    run = tmp_path / "run"
+    code = main(["train", "--manifest", str(manifest), "--config", str(cfg_path), "--out", str(run)])
+    _assert_clean_exit(code, capsys, "best checkpoint from epoch 0 retained")
+    assert sorted(p.name for p in run.iterdir()) == ["best.ckpt", "config.txt", "report.csv", "summary.csv"]
+    assert (run / "summary.csv").read_text().splitlines()[1].endswith(",true")
+
+
+def test_train_of_a_model_built_from_another_config_is_a_clean_exit(tmp_path, synth_dir, capsys, monkeypatch):
+    from rgbdfuse import cli
+
+    # the CLI builds the model from the config it trains with; a model of another seed must not mix with it
+    monkeypatch.setattr(cli, "build_model", lambda cfg: build_model(dataclasses.replace(cfg, seed=cfg.seed + 1)))
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config_to_text(MICRO_CFG))
+    run = tmp_path / "run"
+    code = main(["train", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path), "--out", str(run)])
+    _assert_clean_exit(code, capsys, "model.cfg")
+    assert not run.exists()

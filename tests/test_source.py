@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rgbdfuse
 from rgbdfuse.attention import FeatureMapAttention, SpatialAttention
@@ -18,6 +19,7 @@ PACKAGE = Path(rgbdfuse.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
 OUTPUT_HASHES = ROOT / "scripts" / "output_hashes.py"
+GOLDEN_HASHES = ROOT / "tests" / "golden" / "output_hashes.txt"
 
 
 def _load(path, name):
@@ -179,6 +181,24 @@ def test_output_hashes_names_every_output_of_a_config_once_and_repeats_itself(ca
     )
     assert script.main(["train"]) == 0
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_output_hashes_match_the_golden_file():
+    """Every numeric output the hash script covers is the one recorded, wherever the numpy
+    version and the OpenBLAS config (the file's ``#`` line) are the ones it was recorded under."""
+    result = subprocess.run([sys.executable, str(OUTPUT_HASHES)], capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    key, *lines = result.stdout.splitlines()
+    golden_key, *golden = GOLDEN_HASHES.read_text(encoding="utf-8").splitlines()
+    if key != golden_key:
+        pytest.skip(f"golden hashes recorded under {golden_key[2:]!r}; this checkout runs {key[2:]!r}")
+    want, got = dict(line.split(" ") for line in golden), dict(line.split(" ") for line in lines)
+    changes = [f"moved: {n}" for n in want if n in got and got[n] != want[n]]
+    changes += [f"missing: {n}" for n in want if n not in got] + [f"added: {n}" for n in got if n not in want]
+    assert lines == golden, (
+        f"outputs differ from {GOLDEN_HASHES.relative_to(ROOT)} ({len(changes)} lines); if on purpose, re-record "
+        "it with: python3 scripts/output_hashes.py > tests/golden/output_hashes.txt\n" + "\n".join(changes or ["order"])
+    )
 
 
 def test_scripts_run_from_a_checkout_without_pythonpath(tmp_path):

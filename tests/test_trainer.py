@@ -1,5 +1,6 @@
 """Adam arithmetic, training loop behavior, gradcheck, ablation plumbing."""
 
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from rgbdfuse import tensor as T
 from rgbdfuse import trainer as TR
-from rgbdfuse.data import make_batches, protocol_split
+from rgbdfuse.data import load_manifest, make_batches, protocol_split
 from rgbdfuse.errors import ConfigError, DataError, TrainingError
 from rgbdfuse.model import Model, ModelConfig, build_model, load_checkpoint, read_checkpoint
 from rgbdfuse.tensor import Tensor
@@ -327,37 +328,58 @@ def test_train_divergence_aborts_with_checkpoint(tmp_path, micro_manifest, monke
     assert (tmp_path / "run" / "best.ckpt").is_file()
 
 
-def test_train_nan_gradient_restores_best_and_writes_reports(tmp_path, micro_manifest, monkeypatch):
+@pytest.mark.parametrize("failure", ["nan_gradient", "truncated_train_image"])
+def test_a_failed_epoch_restores_best_and_writes_reports(tmp_path, micro_manifest, monkeypatch, failure):
     cfg = micro_cfg(classes=micro_manifest.class_count, epochs=3, seed=6)
     model = build_model(cfg)
     initial = {n: p.data.copy() for n, p in model.parameters()}
+    manifest = micro_manifest
 
-    steps = {"n": 0}
-    real_step = TR.Adam.step
+    if failure == "nan_gradient":
+        steps = {"n": 0}
+        real_step = TR.Adam.step
 
-    def step_with_nan_at_third(self):
-        steps["n"] += 1
-        if steps["n"] == 3:
-            self.params[0][1].grad[...] = np.nan
-        real_step(self)
+        def step_with_nan_at_third(self):
+            steps["n"] += 1
+            if steps["n"] == 3:
+                self.params[0][1].grad[...] = np.nan
+            real_step(self)
 
-    monkeypatch.setattr(TR.Adam, "step", step_with_nan_at_third)
+        monkeypatch.setattr(TR.Adam, "step", step_with_nan_at_third)
+        error, match = TrainingError, r"non-finite gradient.*retained"
+    else:
+        shutil.copytree(micro_manifest.path.parent, tmp_path / "data")
+        manifest = load_manifest(tmp_path / "data" / micro_manifest.path.name)
+        spoiled = next(r for r in manifest.records if r.split == "train").rgb
+        spoiled.write_bytes(spoiled.read_bytes()[:-7])
+        error, match = DataError, r"truncated.*retained"
     run = tmp_path / "run"
-    with pytest.raises(TrainingError, match=r"non-finite gradient.*retained"):
-        TR.train(model, micro_manifest, out_dir=run)
+    with pytest.raises(error, match=match):
+        TR.train(model, manifest, out_dir=run)
     summary = (run / "summary.csv").read_text().splitlines()[1].split(",")
-    _, test_records = protocol_split(micro_manifest, "fixed")
+    _, test_records = protocol_split(manifest, "fixed")
     means = TR.attention_weight_means(model, test_records)
     assert (float(summary[4]), float(summary[5])) == means
     assert sorted(p.name for p in run.iterdir()) == ["best.ckpt", "config.txt", "report.csv", "summary.csv"]
     assert (run / "summary.csv").read_text().splitlines()[1].endswith(",true")
 
-    # 12 train records in batches of 4 take 3 steps an epoch: step 3 fails in epoch 1,
-    # so the best parameters are the initial ones, the ones best.ckpt holds
+    # 12 train records in batches of 4 take 3 steps an epoch: step 3 (or the batch holding the
+    # truncated image) fails in epoch 1, so the best parameters are the initial ones, the ones
+    # best.ckpt holds
     best = dict(load_checkpoint(run / "best.ckpt").parameters())
     for name, p in model.parameters():
         assert np.array_equal(p.data, initial[name]), name
         assert np.array_equal(p.data, best[name].data), name
+
+
+def test_train_refuses_a_cfg_other_than_the_models(tmp_path, micro_manifest):
+    cfg = micro_cfg(classes=micro_manifest.class_count, epochs=1)
+    model = build_model(cfg)
+    with pytest.raises(ConfigError, match="model.cfg"):
+        TR.train(model, micro_manifest, replace(cfg, batch_size=2), out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+    report, _ = TR.train(model, micro_manifest, replace(cfg), out_dir=tmp_path / "run")  # an equal copy is fine
+    assert report.seed == cfg.seed and len(report.epochs) == 2
 
 
 # -- gradcheck ----------------------------------------------------------------------
