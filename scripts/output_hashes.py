@@ -148,7 +148,7 @@ def output_hashes(name: str):
 
     logits = model.forward(rgb, depth, "train")
     yield f"{name}/logits", digest(logits.data)
-    optimizer = Adam(model.parameters(), cfg.learning_rate, cfg.lr_decay)
+    optimizer = Adam(model.parameters(), cfg.learning_rate)
     T.backward(T.cross_entropy(logits, labels), [p for _, p in optimizer.params])
     for pname, p in optimizer.params:
         yield f"{name}/grad/{pname}", digest(p.grad)

@@ -153,11 +153,8 @@ class Batch:
 
 
 def _load_pair(record: ManifestRecord):
-    try:
-        rgb = netpbm.read_ppm(record.rgb).astype(np.float64) / 255.0
-        depth_raw = netpbm.read_pgm(record.depth)
-    except FileNotFoundError as exc:
-        raise DataError(f"cannot read image: {exc.filename}") from exc
+    rgb = netpbm.read_ppm(record.rgb).astype(np.float64) / 255.0
+    depth_raw = netpbm.read_pgm(record.depth)
     scale = 255.0 if depth_raw.dtype == np.uint8 else 65535.0
     depth = depth_raw.astype(np.float64) / scale
     return rgb, depth[..., None]

@@ -147,6 +147,7 @@ def config_from_text(text: str) -> ModelConfig:
     fields = {f.name: f for f in dataclasses.fields(ModelConfig)}
     defaults = ModelConfig()
     kwargs = {}
+    lines = {}  # key -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
@@ -155,6 +156,9 @@ def config_from_text(text: str) -> ModelConfig:
             raise ConfigError(f"config line {lineno} is not key=value: {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in lines:
+            raise ConfigError(f"config key {key!r} is given twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         if key in RETIRED_KEYS:
             if value != RETIRED_KEYS[key]:
                 raise ConfigError(
@@ -213,7 +217,7 @@ class Model:
         self.backbone_depth = None
         self.fm_attention = None
         self.spatial_attention = None
-        self.classifier = []  # (DenseLayer, BatchNorm) triples of the hidden blocks
+        self.classifier = []  # (DenseLayer, BatchNorm) pairs of the hidden blocks
         self.final = None
         self._dropout_rng = None
 
@@ -459,11 +463,15 @@ def _read_header(fh):
 def _read_records(fh, count, read) -> None:
     """Call ``read(name, dims)`` with the stream at each record's tensor data.
 
-    Malformed tensor records surface as CheckpointError naming the record.
+    Malformed or repeated tensor records surface as CheckpointError naming the record.
     """
+    names = set()
     for _ in range(count):
         nlen = struct.unpack("<I", _read_exact(fh, 4, "name length"))[0]
         name = _read_text(fh, nlen, "record name")
+        if name in names:
+            raise CheckpointError(f"tensor {name!r} appears twice in checkpoint")
+        names.add(name)
         try:
             read(name, T.read_tensor_header(fh))
         except DataError as exc:

@@ -36,24 +36,32 @@ def _read_header(fh, magic: bytes, path):
     width, height, maxval = fields
     if width < 1 or height < 1 or maxval not in (255, 65535):
         raise DataError(f"{path}: unsupported netpbm geometry {width}x{height} maxval {maxval}")
+    if magic == b"P6" and maxval != 255:
+        raise DataError(f"{path}: only 8-bit P6 supported")
     return width, height, maxval
 
 
-def _read_raster(fh, nbytes: int, path, magic: str) -> bytes:
-    """Read ``nbytes`` of pixel data, checked against what is left of the file before reading."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if nbytes > left:
-        raise DataError(f"{path}: truncated {magic} pixel data: header needs {nbytes} bytes, {left} left")
-    return fh.read(nbytes)
+def _read(path, magic: bytes, channels: int):
+    """(height, width, maxval, pixel bytes) of a binary netpbm file.
+
+    The pixel data is checked against what is left of the file before it is read. An OSError
+    opening or reading the file is a DataError naming it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            width, height, maxval = _read_header(fh, magic, path)
+            nbytes = width * height * channels * (1 if maxval == 255 else 2)
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if nbytes > left:
+                raise DataError(f"{path}: truncated {magic.decode()} pixel data: header needs {nbytes} bytes, {left} left")
+            return height, width, maxval, fh.read(nbytes)
+    except OSError as exc:
+        raise DataError(f"cannot read image {path}: {exc.strerror or exc}") from exc
 
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary P6 image as uint8 [H x W x 3]."""
-    with open(path, "rb") as fh:
-        width, height, maxval = _read_header(fh, b"P6", path)
-        if maxval != 255:
-            raise DataError(f"{path}: only 8-bit P6 supported")
-        raw = _read_raster(fh, width * height * 3, path, "P6")
+    height, width, _, raw = _read(path, b"P6", 3)
     return np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3).copy()
 
 
@@ -68,11 +76,8 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary P5 image: uint8 [H x W] for maxval 255, uint16 for 65535."""
-    with open(path, "rb") as fh:
-        width, height, maxval = _read_header(fh, b"P5", path)
-        dtype = np.uint8 if maxval == 255 else ">u2"
-        raw = _read_raster(fh, width * height * np.dtype(dtype).itemsize, path, "P5")
-    img = np.frombuffer(raw, dtype=dtype).reshape(height, width)
+    height, width, maxval, raw = _read(path, b"P5", 1)
+    img = np.frombuffer(raw, dtype=np.uint8 if maxval == 255 else ">u2").reshape(height, width)
     return img.astype(np.uint16) if maxval == 65535 else img.copy()
 
 

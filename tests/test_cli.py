@@ -27,6 +27,12 @@ MICRO_CFG = ModelConfig(
 )
 
 
+def micro_config_text_with(line):
+    """MICRO_CFG's config text with ``line``'s key set to its value, one ModelConfig itself may refuse."""
+    key = line.partition("=")[0]
+    return "".join(f"{line if old.partition('=')[0] == key else old}\n" for old in config_to_text(MICRO_CFG).splitlines())
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_synth")
@@ -343,7 +349,7 @@ def test_checkpoint_config_of_an_impossible_model_is_a_clean_exit(tmp_path, synt
     path = tmp_path / "best.ckpt"
     write_header_only_checkpoint(path, MICRO_CFG)
     # ModelConfig refuses a 2^62-wide head, so only its text can name one
-    with_config_text(path, config_to_text(MICRO_CFG) + "classifier_widths=4611686018427387904\n")
+    with_config_text(path, micro_config_text_with("classifier_widths=4611686018427387904"))
     code = main(["eval", "--checkpoint", str(path), "--manifest", str(synth_dir / "manifest.csv")])
     _assert_clean_exit(code, capsys, "bytes of parameters")
 
@@ -492,7 +498,7 @@ def test_train_with_a_negative_seed_an_empty_batch_or_negative_epochs_writes_not
     tmp_path, synth_dir, capsys, config_line, extra, match
 ):
     cfg_path = tmp_path / "config.txt"
-    cfg_path.write_text(config_to_text(MICRO_CFG) + config_line + "\n")
+    cfg_path.write_text(micro_config_text_with(config_line))
     run_dir = tmp_path / "run"
     args = ["train", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path), "--out", str(run_dir)]
     _assert_clean_exit(main(args + extra), capsys, match)
@@ -621,7 +627,7 @@ def test_a_model_too_big_to_allocate_is_a_clean_exit_before_any_run(
 
     monkeypatch.setattr(trainer, "train", no_training)
     cfg_path = tmp_path / "config.txt"
-    cfg_path.write_text(config_to_text(MICRO_CFG) + config_line + "\n")
+    cfg_path.write_text(micro_config_text_with(config_line))
     args = [command, "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path)]
     args += ["--out", str(tmp_path / "run")] if command == "train" else ["--seeds", "0", "--out", str(tmp_path / "a.csv")]
     _assert_clean_exit(main(args), capsys, match)
@@ -672,6 +678,19 @@ def test_images_of_two_sizes_in_one_batch_are_a_clean_exit(tmp_path, synth_dir, 
 
 def test_a_truncated_train_image_restores_the_best_and_writes_every_report(tmp_path, synth_dir, capsys):
     manifest, record = _copy_with_one_train_record(tmp_path, synth_dir)
+    record.rgb.write_bytes(record.rgb.read_bytes()[:-7])
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config_to_text(MICRO_CFG))
+    run = tmp_path / "run"
+    code = main(["train", "--manifest", str(manifest), "--config", str(cfg_path), "--out", str(run)])
+    _assert_clean_exit(code, capsys, "best checkpoint from epoch 0 retained")
+    assert sorted(p.name for p in run.iterdir()) == ["best.ckpt", "config.txt", "report.csv", "summary.csv"]
+    assert (run / "summary.csv").read_text().splitlines()[1].endswith(",true")
+
+
+def test_a_truncated_test_image_met_by_the_untrained_evaluation_writes_every_report(tmp_path, synth_dir, capsys):
+    manifest, _ = _copy_with_one_train_record(tmp_path, synth_dir)
+    record = next(r for r in load_manifest(manifest).records if r.split != "train")
     record.rgb.write_bytes(record.rgb.read_bytes()[:-7])
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text(config_to_text(MICRO_CFG))

@@ -1,6 +1,7 @@
 """Model assembly, forward determinism, parameter arithmetic, checkpoints."""
 
 import dataclasses
+import io
 import struct
 from pathlib import Path
 
@@ -113,6 +114,8 @@ def test_config_validation_errors():
         M.config_from_text("nonsense_key=3\n")
     with pytest.raises(ConfigError):
         M.config_from_text("classes=abc\n")
+    with pytest.raises(ConfigError, match=r"'classes' is given twice, on lines 2 and 4"):
+        M.config_from_text("# header\nclasses=2\nseed=1\nclasses=3\n")
 
 
 def test_config_text_with_no_classifier_width_is_refused(tmp_path):
@@ -440,6 +443,23 @@ def test_checkpoint_missing_record_names_entry(tmp_path, monkeypatch):
     dropped = model.parameters()[0][0]
     with pytest.raises(CheckpointError, match=dropped.replace(".", r"\.")):
         M.load_checkpoint(path)
+
+
+def test_checkpoint_record_given_twice_names_it(tmp_path):
+    model = M.build_model(tiny_cfg())
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(model, path)
+    name = "backbone_rgb.stage0.kernels"
+    extra = io.BytesIO()
+    extra.write(struct.pack("<I", len(name)) + name.encode())
+    T.write_tensor(extra, T.Tensor(model.arrays()[name]))
+    raw = bytearray(path.read_bytes() + extra.getvalue())
+    at = 12 + struct.unpack("<I", raw[8:12])[0] + 8  # the record count, after the config text and epoch
+    raw[at : at + 4] = struct.pack("<I", struct.unpack("<I", raw[at : at + 4])[0] + 1)
+    path.write_bytes(bytes(raw))
+    for read in (M.read_checkpoint, M.load_checkpoint):
+        with pytest.raises(CheckpointError, match=r"'backbone_rgb\.stage0\.kernels' appears twice"):
+            read(path)
 
 
 def test_checkpoint_extra_optimizer_record_names_entry(tmp_path, monkeypatch):

@@ -385,6 +385,10 @@ def test_netpbm_errors(tmp_path):
         netpbm.read_ppm(tmp_path / "bad.ppm")
     with pytest.raises(DataError):
         netpbm.read_pgm(tmp_path / "bad.ppm")
+    for path in (tmp_path, tmp_path / "missing.pnm"):  # a directory, and no file at all
+        for read in (netpbm.read_ppm, netpbm.read_pgm):
+            with pytest.raises(DataError, match=f"cannot read image {path}"):
+                read(path)
 
 
 @pytest.mark.parametrize(

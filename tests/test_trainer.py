@@ -50,11 +50,24 @@ def test_adam_first_step_magnitude():
     assert abs(p.data[0] + 0.1) < 1e-8  # bias-corrected first step moves lr * sign(g)
 
 
-def test_adam_epoch_decay_schedule():
-    p = T.parameter(np.zeros(1))
-    opt = TR.Adam([("p", p)], lr=1e-5, decay=0.9)
-    opt.epoch = 2
-    assert opt.effective_lr() == pytest.approx(8.1e-6)
+def test_adam_epoch_decay_schedule(micro_manifest, monkeypatch):
+    cfg = micro_cfg(classes=micro_manifest.class_count, epochs=3, seed=1, learning_rate=1e-5, lr_decay=0.9)
+    stepped = []  # the step size of every update
+    real_step = TR.Adam.step
+
+    def recording_step(self):
+        stepped.append(self.lr)
+        real_step(self)
+
+    monkeypatch.setattr(TR.Adam, "step", recording_step)
+    report, _ = TR.train(build_model(cfg), micro_manifest)
+    assert [e.epoch for e in report.epochs] == [0, 1, 2, 3]
+    assert report.epochs[0].effective_lr == cfg.learning_rate
+    for e in report.epochs[1:]:
+        assert e.effective_lr == cfg.learning_rate * cfg.lr_decay ** (e.epoch - 1)
+    assert report.epochs[3].effective_lr == pytest.approx(8.1e-6)
+    # 12 train records in batches of 4 take 3 steps an epoch, each at its epoch's rate
+    assert stepped == [e.effective_lr for e in report.epochs[1:] for _ in range(3)]
 
 
 def test_adam_nan_gradient_names_parameter():
@@ -91,9 +104,9 @@ def test_adam_blocked_update_matches_whole_array_formula():
     m = {n: np.zeros(s) for n, s in zip(ref, shapes)}
     v = {n: np.zeros(s) for n, s in zip(ref, shapes)}
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    opt = TR.Adam(params, lr=lr, decay=0.5)
+    opt = TR.Adam(params, lr=lr)
     for t in range(1, 4):
-        opt.epoch = t
+        opt.lr = lr * 0.5**t
         for n, p in params:
             p.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
             g = p.grad
@@ -328,7 +341,7 @@ def test_train_divergence_aborts_with_checkpoint(tmp_path, micro_manifest, monke
     assert (tmp_path / "run" / "best.ckpt").is_file()
 
 
-@pytest.mark.parametrize("failure", ["nan_gradient", "truncated_train_image"])
+@pytest.mark.parametrize("failure", ["nan_gradient", "truncated_train_image", "truncated_test_image"])
 def test_a_failed_epoch_restores_best_and_writes_reports(tmp_path, micro_manifest, monkeypatch, failure):
     cfg = micro_cfg(classes=micro_manifest.class_count, epochs=3, seed=6)
     model = build_model(cfg)
@@ -350,22 +363,27 @@ def test_a_failed_epoch_restores_best_and_writes_reports(tmp_path, micro_manifes
     else:
         shutil.copytree(micro_manifest.path.parent, tmp_path / "data")
         manifest = load_manifest(tmp_path / "data" / micro_manifest.path.name)
-        spoiled = next(r for r in manifest.records if r.split == "train").rgb
+        in_train = failure == "truncated_train_image"
+        spoiled = next(r for r in manifest.records if (r.split == "train") == in_train).rgb
         spoiled.write_bytes(spoiled.read_bytes()[:-7])
-        error, match = DataError, r"truncated.*retained"
+        error, match = DataError, r"truncated.*epoch 0 retained"
     run = tmp_path / "run"
     with pytest.raises(error, match=match):
         TR.train(model, manifest, out_dir=run)
-    summary = (run / "summary.csv").read_text().splitlines()[1].split(",")
-    _, test_records = protocol_split(manifest, "fixed")
-    means = TR.attention_weight_means(model, test_records)
-    assert (float(summary[4]), float(summary[5])) == means
     assert sorted(p.name for p in run.iterdir()) == ["best.ckpt", "config.txt", "report.csv", "summary.csv"]
-    assert (run / "summary.csv").read_text().splitlines()[1].endswith(",true")
+    summary = (run / "summary.csv").read_text().splitlines()[1].split(",")
+    assert summary[-1] == "true"
+    if failure == "truncated_test_image":
+        # the untrained evaluation (epoch 0) fails: no epoch is reported and no attention means are known
+        assert (run / "report.csv").read_text().splitlines() == [",".join(TR.REPORT_COLUMNS)]
+        assert summary[4:6] == ["", ""]
+    else:
+        _, test_records = protocol_split(manifest, "fixed")
+        assert (float(summary[4]), float(summary[5])) == TR.attention_weight_means(model, test_records)
 
     # 12 train records in batches of 4 take 3 steps an epoch: step 3 (or the batch holding the
-    # truncated image) fails in epoch 1, so the best parameters are the initial ones, the ones
-    # best.ckpt holds
+    # truncated image) fails in epoch 1, and a truncated test image fails epoch 0, so the best
+    # parameters are the initial ones, the ones best.ckpt holds
     best = dict(load_checkpoint(run / "best.ckpt").parameters())
     for name, p in model.parameters():
         assert np.array_equal(p.data, initial[name]), name
