@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .layers import DenseLayer, LstmLayer, blstm_forward, dense_forward, lstm_forward
+from .layers import DenseLayer, LstmLayer, _uniform, blstm_forward, dense_forward, lstm_forward
 from .tensor import Tensor
 
 FM_VARIANTS = ("lstm_dense", "dense_only")
@@ -139,8 +139,7 @@ class SpatialAttention:
             raise ConfigError(f"spatial attention variant must be one of {SPATIAL_VARIANTS}, got {variant!r}")
         m2 = map_extent * map_extent
         shape = (1, 1, 2, 1) if variant == "conv" else (2 * m2, m2)
-        bound = 1.0 / np.sqrt(np.prod(shape[:-1]))  # fan-in scaled, as DenseLayer.init draws
-        weights = T.parameter(rng.uniform(-bound, bound, size=shape))
+        weights = T.parameter(_uniform(rng, shape, np.prod(shape[:-1])))
         return cls(variant, map_extent, weights, T.parameter(np.zeros(shape[-1])))
 
     def parameters(self):

@@ -105,7 +105,7 @@ def lstm_forward(layer: LstmLayer, seq: Tensor) -> Tensor:
         c = T.sigmoid(zf) * c + T.sigmoid(zi) * T.tanh(zc)
         h = T.sigmoid(zo) * T.tanh(c)
         outputs.append(h)
-    return T.stack0(outputs)
+    return T.reshape(T.concat(outputs, axis=0), (steps, batch, hidden))
 
 
 def blstm_forward(fwd: LstmLayer, bwd: LstmLayer, seq: Tensor) -> Tensor:

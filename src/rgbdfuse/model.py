@@ -289,20 +289,16 @@ class Model:
     # -- forward -----------------------------------------------------------
 
     def _fuse(self, rgb: Tensor, depth: Tensor) -> dict:
-        """Backbone features and the fused, attention-refined volume."""
-        stages: dict = {}
-        if self.cfg.modality == "rgb":
-            stages["features"] = self.backbone_rgb.forward(rgb)
-            return stages
-        depth3 = Tensor(np.repeat(depth.data, 3, axis=-1))
-        if self.cfg.modality == "depth":
-            stages["features"] = self.backbone_depth.forward(depth3)
-            return stages
-
-        fused, (f_rgb, f_depth) = T.concat_branches(
-            [lambda: self.backbone_rgb.forward(rgb), lambda: self.backbone_depth.forward(depth3)], axis=-1
-        )
-        stages.update(f_rgb=f_rgb, f_depth=f_depth, f_concat=fused)
+        """Each backbone the model holds run on its input, their features joined along the
+        channels, then refined by the attention levels the model holds."""
+        branches = {}
+        if self.backbone_rgb is not None:
+            branches["f_rgb"] = lambda: self.backbone_rgb.forward(rgb)
+        if self.backbone_depth is not None:
+            depth3 = Tensor(np.repeat(depth.data, 3, axis=-1))
+            branches["f_depth"] = lambda: self.backbone_depth.forward(depth3)
+        fused, parts = T.concat_branches(branches.values(), axis=-1)
+        stages = dict(zip(branches, parts), f_concat=fused)
         if self.fm_attention is not None:
             stages["fm_weights"], fused = feature_map_attention(self.fm_attention, fused)
             stages["f_fm"] = fused

@@ -235,19 +235,16 @@ def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     return _node(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
 
 
-def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
+def tmean(x: Tensor, axis=None) -> Tensor:
     if axis is None:
         count = x.size
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         count = int(np.prod([x.shape[a] for a in axes]))
-    return mul(tsum(x, axis=axis, keepdims=keepdims), _lift(1.0 / count))
+    return mul(tsum(x, axis=axis), _lift(1.0 / count))
 
 
-def reshape(x: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-
+def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     def bwd(g):
         x._accum(g.reshape(x.shape))
 
@@ -277,16 +274,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             t._accum(gt)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
-
-
-def stack0(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shaped tensors along a new leading axis."""
-
-    def bwd(g):
-        for t, gt in zip(tensors, g):
-            t._accum(gt)
-
-    return _node(np.stack([t.data for t in tensors]), tensors, bwd)
 
 
 def add_batch_axis(x: Tensor, axis: int = 0) -> Tensor:
@@ -661,10 +648,12 @@ def _branch_worker():
 
 def _run_branches(calls: Sequence[Callable[[], object]]) -> list:
     """The results of ``calls``: the first runs on this thread and the rest on the branch
-    worker, or all one after another here where there is no worker. Every call has ended
-    before this returns or raises; an exception surfaces unchanged, the first call's first."""
-    worker = _branch_worker()
-    if worker is None or len(calls) < 2:
+    worker, or all one after another here where there is no worker. Fewer than two calls
+    run here without making the worker, so a process that never runs two branches keeps
+    the BLAS's own thread count. Every call has ended before this returns or raises; an
+    exception surfaces unchanged, the first call's first."""
+    worker = _branch_worker() if len(calls) > 1 else None
+    if worker is None:
         return [call() for call in calls]
     futures = [worker.submit(call) for call in calls[1:]]
     try:
@@ -678,12 +667,12 @@ def _run_branches(calls: Sequence[Callable[[], object]]) -> list:
 def concat_branches(thunks: Sequence[Callable[[], Tensor]], axis: int) -> tuple[Tensor, list[Tensor]]:
     """Run independent branches concurrently and concatenate their outputs along ``axis``.
 
-    Each thunk builds one branch and returns its output tensor. Returns the
-    concatenation and the branch outputs. The backward slices the gradient and
-    sweeps each branch's graph concurrently. The branch graphs stay out of the
-    outer sweep's topological order (the node lists no parents), so each branch
-    node is freed as its own sweep passes it. The branches must share no tensor
-    that requires grad, and each output must feed only this node.
+    Each thunk builds one branch and returns its output tensor; a single branch runs
+    alone, and its output is copied. Returns the concatenation and the branch outputs.
+    The backward slices the gradient and sweeps each branch's graph concurrently. The
+    branch graphs stay out of the outer sweep's topological order (the node lists no
+    parents), so each branch node is freed as its own sweep passes it. The branches
+    must share no tensor that requires grad, and each output must feed only this node.
     """
     thunks = list(thunks)
     parts = _run_branches(thunks)

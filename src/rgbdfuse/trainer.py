@@ -201,14 +201,14 @@ class RunReport:
 
     def write_summary_csv(self, path) -> None:
         final_train = next((e.train_acc for e in reversed(self.epochs) if e.train_acc is not None), None)
+        best = [self.best_epoch, f"{self.best_test_acc:.17g}"] if self.epochs else ["", ""]  # empty: none evaluated
         with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(SUMMARY_COLUMNS)
             writer.writerow(
                 [
                     self.seed,
-                    self.best_epoch,
-                    f"{self.best_test_acc:.17g}",
+                    *best,
                     "" if final_train is None else f"{final_train:.17g}",
                     "" if self.fm_weight_rgb_mean is None else f"{self.fm_weight_rgb_mean:.17g}",
                     "" if self.fm_weight_depth_mean is None else f"{self.fm_weight_depth_mean:.17g}",
@@ -398,7 +398,7 @@ def gradcheck(
     cfg = replace(gradcheck_config(variant), seed=seed)
     model = build_model(cfg)
     rng = np.random.default_rng(seed + 1)
-    b = max(2, cfg.batch_size)
+    b = cfg.batch_size
     rgb = Tensor(rng.random((b, cfg.input_size, cfg.input_size, 3)))
     depth = Tensor(rng.random((b, cfg.input_size, cfg.input_size, 1)))
     labels = [i % cfg.classes for i in range(b)]

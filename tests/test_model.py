@@ -262,6 +262,22 @@ def test_concurrent_backbones_equal_a_sequential_run_bit_for_bit(monkeypatch):
         assert np.array_equal(grads[name], seq_grads[name]), name
 
 
+@pytest.mark.parametrize("modality, branch", [("rgb", "f_rgb"), ("depth", "f_depth")])
+def test_a_single_modality_model_runs_its_one_branch_without_the_branch_worker(monkeypatch, modality, branch):
+    def no_worker():
+        raise AssertionError("a single-branch forward or backward made the branch worker")
+
+    monkeypatch.setattr(T, "_branch_worker", no_worker)
+    cfg = tiny_cfg(modality=modality)
+    rgb, depth = tiny_batch(cfg)
+    stages = M.build_model(cfg).forward_features(rgb, depth)
+    assert [name for name in stages if name.startswith("f_")] == [branch, "f_concat"]
+    assert np.array_equal(stages[branch].data, stages["features"].data)
+    assert np.array_equal(stages["f_concat"].data, stages["features"].data)
+    logits, grads = _train_step_outputs(cfg, rgb, depth)
+    assert np.isfinite(logits).all() and all(g is not None for g in grads.values())
+
+
 def _forward_and_exit(model, rgb, depth, expected):
     logits = model.forward(rgb, depth, "eval").data
     raise SystemExit(0 if np.array_equal(logits, expected) else 3)

@@ -810,6 +810,21 @@ def test_a_branch_error_surfaces_as_itself_after_every_branch_ends(failing):
         assert _blas_threads() == 1  # the branches share the CPUs with no BLAS thread beside them
 
 
+def test_a_single_branch_runs_here_without_making_the_branch_worker(monkeypatch):
+    def no_worker():
+        raise AssertionError("the branch worker was made for one call")
+
+    monkeypatch.setattr(T, "_branch_worker", no_worker)
+    thread = []
+
+    def f():
+        thread.append(threading.current_thread())
+        return 7
+
+    assert T._run_branches([f]) == [f()]
+    assert thread == [threading.current_thread()] * 2
+
+
 def _relu_branches(size, n):
     """Two branches of ``n`` relus each, on parameters of ``size`` elements; returns the
     parameters, the concatenation, its branch outputs and a loss weighting each entry by its index."""

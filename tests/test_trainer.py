@@ -374,8 +374,10 @@ def test_a_failed_epoch_restores_best_and_writes_reports(tmp_path, micro_manifes
     summary = (run / "summary.csv").read_text().splitlines()[1].split(",")
     assert summary[-1] == "true"
     if failure == "truncated_test_image":
-        # the untrained evaluation (epoch 0) fails: no epoch is reported and no attention means are known
+        # the untrained evaluation (epoch 0) fails: no epoch is reported, so no best epoch, best
+        # accuracy or attention means are known
         assert (run / "report.csv").read_text().splitlines() == [",".join(TR.REPORT_COLUMNS)]
+        assert summary[1:3] == ["", ""]
         assert summary[4:6] == ["", ""]
     else:
         _, test_records = protocol_split(manifest, "fixed")
