@@ -45,6 +45,13 @@ that moves outputs on purpose, re-record it with
 
     python3 scripts/output_hashes.py > tests/golden/output_hashes.txt
 
+Given ``--against FILE`` (an earlier output, say of a parent checkout), it prints no
+hashes but how many lines moved, were added or went missing against FILE, one line per
+config and output kind (the first two parts of a name, e.g. ``default/grad moved 13``),
+then a total. Only the names asked for are compared:
+
+    python3 scripts/output_hashes.py --against tests/golden/output_hashes.txt
+
 The script imports the package from the ``src/`` beside it, so it needs no
 ``PYTHONPATH`` and always hashes the checkout it sits in.
 """
@@ -54,6 +61,7 @@ import ctypes
 import hashlib
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -224,18 +232,43 @@ NAMES = (*CONFIGS, "preprocess", "single", "train")
 HASHERS = {"preprocess": preprocess_hashes, "single": single_hashes, "train": train_hashes}
 
 
+def against(got: dict, path, names) -> None:
+    """Print, per config and output kind, how many hashes of ``got`` moved, were added or went missing against ``path``."""
+    recorded = Path(path).read_text(encoding="utf-8").splitlines()
+    for key in (line for line in recorded if line.startswith("# ") and line != f"# {numeric_key()}"):
+        print(f"# {path} was recorded under {key[2:]!r}, not {numeric_key()!r}")
+    hashes = (line.split(" ") for line in recorded if not line.startswith("#"))
+    want = {n: sha for n, sha in hashes if n.split("/")[0] in names}
+    counts, total = Counter(), Counter()
+    for n in {**got, **want}:  # got's order, then the names only the file has
+        kind = "added" if n not in want else "missing" if n not in got else "moved" if got[n] != want[n] else None
+        if kind:
+            counts["/".join(n.split("/")[:2]), kind] += 1
+            total[kind] += 1
+    for (group, kind), count in counts.items():
+        print(f"{group} {kind} {count}")
+    print(f"total: {total['moved']} moved, {total['added']} added, {total['missing']} missing of {len(want)} lines in {path}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help=f"any of {', '.join(NAMES)}; default: all")
+    parser.add_argument("--against", metavar="FILE", help="print how many lines moved, were added or went missing against FILE")
     args = parser.parse_args(argv)
     for name in args.names:
         if name not in NAMES:
             parser.error(f"unknown name {name!r}")
+    if args.against and not Path(args.against).is_file():
+        parser.error(f"--against: no file {args.against!r}")
+    names = args.names or NAMES
+    hashes = (pair for name in names for pair in (HASHERS[name]() if name in HASHERS else output_hashes(name)))
+    if args.against:
+        against(dict(hashes), args.against, names)
+        return 0
     if not args.names:
         print(f"# {numeric_key()}")
-    for name in args.names or NAMES:
-        for artefact, sha in HASHERS[name]() if name in HASHERS else output_hashes(name):
-            print(f"{artefact} {sha}")
+    for artefact, sha in hashes:
+        print(f"{artefact} {sha}")
     return 0
 
 

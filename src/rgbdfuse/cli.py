@@ -17,7 +17,7 @@ import numpy as np
 
 from . import netpbm
 from .attention import write_weights_csv
-from .data import generate_synthetic, load_manifest, write_manifest
+from .data import generate_synthetic, load_manifest, write_manifest, write_pair
 from .errors import CheckpointError, ConfigError, DataError, ShapeError, TrainingError, UsageError
 from .model import build_model, load_checkpoint, load_config
 from .preprocess import DepthImage, augment_expand, crop_resize, depth_clip_normalize
@@ -88,20 +88,16 @@ def cmd_preprocess(args) -> int:
     out_dir = Path(args.out)
     make_output_dir(out_dir / "images")
 
-    def write_pair(r, sample, rgb, depth):
-        rgb_rel = f"images/{r.subject}_{sample}_rgb.ppm"
-        depth_rel = f"images/{r.subject}_{sample}_depth.pgm"
-        netpbm.write_ppm(out_dir / rgb_rel, rgb)
-        netpbm.write_pgm(out_dir / depth_rel, depth)
-        return (r.subject, sample, rgb_rel, depth_rel, r.split, r.fold)
+    def row(r, sample, rgb, depth):
+        return (r.subject, sample, *write_pair(out_dir, r.subject, sample, rgb, depth), r.split, r.fold)
 
     rng = np.random.default_rng(args.seed)
     rows, copy_rows = [], []  # the manifest lists every original before the copies
     for r, rgb, depth in processed:
-        rows.append(write_pair(r, r.sample, rgb, depth))
+        rows.append(row(r, r.sample, rgb, depth))
         if args.augment and r.split == "train":
             for j, rec in enumerate(augment_expand([(rgb, depth, r.label)], seed=rng)[1:], start=1):
-                copy_rows.append(write_pair(r, f"{r.sample}_a{j}", rec.rgb, rec.depth))
+                copy_rows.append(row(r, f"{r.sample}_a{j}", rec.rgb, rec.depth))
     write_manifest(out_dir / "manifest.csv", rows + copy_rows)
     print(f"processed {len(processed)} pairs -> {len(rows) + len(copy_rows)} records at {out_dir / 'manifest.csv'}")
     return 0

@@ -100,6 +100,14 @@ def write_manifest(path, rows) -> None:
         writer.writerows(rows)
 
 
+def write_pair(out_dir, subject: str, sample: str, rgb, depth):
+    """Write ``images/<subject>_<sample>_rgb.ppm`` / ``_depth.pgm`` under out_dir; return both relative paths."""
+    rgb_rel, depth_rel = f"images/{subject}_{sample}_rgb.ppm", f"images/{subject}_{sample}_depth.pgm"
+    netpbm.write_ppm(Path(out_dir) / rgb_rel, rgb)
+    netpbm.write_pgm(Path(out_dir) / depth_rel, depth)
+    return rgb_rel, depth_rel
+
+
 def protocol_split(manifest: DatasetManifest, protocol: str):
     """Partition records into (train, test) per the named protocol.
 
@@ -254,12 +262,8 @@ def generate_synthetic(
                 depth = np.roll(depth_templates[c], (dy, dx), axis=(0, 1)) + rng.normal(0.0, 8.0, (size, size))
             rgb8 = np.clip(np.floor(rgb + 0.5), 0, 255).astype(np.uint8)
             depth8 = np.clip(np.floor(depth + 0.5), 0, 255).astype(np.uint8)
-            rgb_rel = f"images/{subject}_{i:03d}_rgb.ppm"
-            depth_rel = f"images/{subject}_{i:03d}_depth.pgm"
-            netpbm.write_ppm(out_dir / rgb_rel, rgb8)
-            netpbm.write_pgm(out_dir / depth_rel, depth8)
             split = "train" if i < per_class - test_n else "test1"
-            rows.append((subject, f"{i:03d}", rgb_rel, depth_rel, split, i % 5))
+            rows.append((subject, f"{i:03d}", *write_pair(out_dir, subject, f"{i:03d}", rgb8, depth8), split, i % 5))
     manifest_path = out_dir / "manifest.csv"
     write_manifest(manifest_path, rows)
     return manifest_path

@@ -82,25 +82,24 @@ class LstmLayer:
 def lstm_forward(layer: LstmLayer, seq: Tensor) -> Tensor:
     """Run the recurrence over seq [T x B x in] from zero state.
 
-    The gates run packed in (i, f, c, o) order: the input projection of every step is
-    one GEMM against W [in x 4H], and each step adds h U (U [H x 4H]) and b [4H], then
-    splits the sum into the four gates. Returns the hidden state at every step:
-    [T x B x H].
+    The gates run packed in (i, f, c, o) order: the input projection of every step plus
+    the bias is one GEMM against W [in x 4H] and one add of b [4H], and each step adds
+    h U (U [H x 4H]), then splits the sum into the four gates. Returns the hidden state
+    at every step: [T x B x H].
     """
     if seq.ndim != 3 or seq.shape[0] < 1:
         raise ShapeError(f"lstm expects [T x B x in] with T >= 1, got {seq.shape}")
     if seq.shape[2] != layer.n_in:
         raise ShapeError(f"lstm configured for width {layer.n_in}, got steps of width {seq.shape[2]}")
     steps, batch, hidden = seq.shape[0], seq.shape[1], layer.hidden
-    w, u = (T.concat([m[g] for g in _GATES], axis=1) for m in (layer.w, layer.u))
-    b = T.concat([layer.b[g] for g in _GATES], axis=0)
-    xw = T.matmul(T.reshape(seq, (steps * batch, layer.n_in)), w)  # step t is rows t*B : (t+1)*B
+    w, u, b = (T.concat([m[g] for g in _GATES], axis=-1) for m in (layer.w, layer.u, layer.b))
+    xw = T.matmul(T.reshape(seq, (steps * batch, layer.n_in)), w) + b  # step t is rows t*B : (t+1)*B
     gates = [(slice(None), slice(k * hidden, (k + 1) * hidden)) for k in range(4)]
     h = Tensor(np.zeros((batch, hidden)))
     c = Tensor(np.zeros((batch, hidden)))
     outputs = []
     for t in range(steps):
-        z = T.take(xw, slice(t * batch, (t + 1) * batch)) + T.matmul(h, u) + b
+        z = T.take(xw, slice(t * batch, (t + 1) * batch)) + T.matmul(h, u)
         zi, zf, zc, zo = (T.take(z, key) for key in gates)
         c = T.sigmoid(zf) * c + T.sigmoid(zi) * T.tanh(zc)
         h = T.sigmoid(zo) * T.tanh(c)

@@ -204,8 +204,7 @@ def tanh(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic; output clamped to the open interval (0, 1)."""
     e = np.exp(-np.abs(x.data))
-    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    y = np.clip(y, _SIG_LO, _SIG_HI)
+    y = np.clip(np.where(x.data >= 0, 1.0, e) / (1.0 + e), _SIG_LO, _SIG_HI)
 
     def bwd(g):
         x._accum(g * y * (1.0 - y))

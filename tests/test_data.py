@@ -225,6 +225,22 @@ def test_synthetic_counts_and_labels(tmp_path):
     assert sorted({r.label for r in manifest.records}) == list(range(10))
 
 
+def test_write_pair_is_the_one_image_layout(tmp_path):
+    rng = np.random.default_rng(3)
+    rgb = rng.integers(0, 256, (5, 4, 3), dtype=np.uint8)
+    depth = rng.integers(0, 65536, (5, 4), dtype=np.uint16)
+    (tmp_path / "images").mkdir()
+    assert D.write_pair(tmp_path, "s7", "002_a1", rgb, depth) == ("images/s7_002_a1_rgb.ppm", "images/s7_002_a1_depth.pgm")
+    assert np.array_equal(netpbm.read_ppm(tmp_path / "images/s7_002_a1_rgb.ppm"), rgb)
+    assert np.array_equal(netpbm.read_pgm(tmp_path / "images/s7_002_a1_depth.pgm"), depth)
+    manifest = D.load_manifest(D.generate_synthetic(tmp_path / "synth", classes=2, per_class=2, size=16, seed=1))
+    root = tmp_path / "synth"
+    assert [(r.rgb, r.depth) for r in manifest.records] == [
+        (root / f"images/{r.subject}_{r.sample}_rgb.ppm", root / f"images/{r.subject}_{r.sample}_depth.pgm")
+        for r in manifest.records
+    ]
+
+
 def test_synthetic_deterministic(tmp_path):
     p1 = D.generate_synthetic(tmp_path / "a", classes=3, per_class=4, size=16, seed=7)
     p2 = D.generate_synthetic(tmp_path / "b", classes=3, per_class=4, size=16, seed=7)

@@ -110,6 +110,25 @@ def test_lstm_gradients():
     check_grad(lambda: T.tsum(one_sequence(L.lstm_forward, layer, seq)), params, 1e-4)
 
 
+def test_lstm_records_sixteen_nodes_per_step():
+    """The bias joins the once-per-layer input projection, so a step is its slice of it, h U,
+    their sum, four gate slices and the 9 nodes of the cell update."""
+
+    def graph_nodes(root):
+        seen, stack = set(), [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        return len(seen)
+
+    layer = L.LstmLayer.init(3, 4, np.random.default_rng(9))
+    seq = np.random.default_rng(10).standard_normal((7, 2, 3))
+    counts = [graph_nodes(L.lstm_forward(layer, T.Tensor(seq[:steps]))) for steps in (3, 7)]
+    assert (counts[1] - counts[0]) / 4 == 16
+
+
 def test_lstm_batched_matches_loop():
     rng = np.random.default_rng(7)
     layer = L.LstmLayer.init(3, 4, rng)

@@ -201,6 +201,28 @@ def test_output_hashes_match_the_golden_file():
     )
 
 
+def test_output_hashes_against_counts_moved_added_and_missing_lines_per_kind(tmp_path, capsys):
+    script = _load(OUTPUT_HASHES, "output_hashes")
+    assert script.main(["preprocess"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    recorded = tmp_path / "recorded.txt"
+    recorded.write_text("\n".join([f"# {script.numeric_key()}", *lines]) + "\n", encoding="utf-8")
+    assert script.main(["preprocess", "--against", str(recorded)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"total: 0 moved, 0 added, 0 missing of {len(lines)} lines in {recorded}"]
+
+    name, sha = lines[0].split(" ")  # preprocess/crop_resize
+    edited = [f"{name} {sha[::-1]}", *lines[2:], "preprocess/augment/gone 0", "single/not/asked 0"]
+    recorded.write_text("\n".join(["# numpy 0.0; other BLAS", *edited]) + "\n", encoding="utf-8")
+    assert script.main(["preprocess", "--against", str(recorded)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"# {recorded} was recorded under 'numpy 0.0; other BLAS', not {script.numeric_key()!r}",
+        "preprocess/crop_resize moved 1",
+        "preprocess/depth_clip_normalize added 1",
+        "preprocess/augment missing 1",
+        f"total: 1 moved, 1 added, 1 missing of {len(lines)} lines in {recorded}",
+    ]
+
+
 def test_scripts_run_from_a_checkout_without_pythonpath(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     for script in ("run_ablation_tables.py", "run_desk_experiment.py", "output_hashes.py"):
