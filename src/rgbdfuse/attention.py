@@ -117,7 +117,7 @@ def feature_map_attention(att: FeatureMapAttention, f: Tensor):
         weights = Tensor(np.ones((b, c)))
     else:
         weights = T.sigmoid(att._scores(f))
-    return weights, T.broadcast_mul_channel(f, weights)
+    return weights, T.mul(f, T.reshape(weights, (b, 1, 1, c)))
 
 
 @dataclass
@@ -154,17 +154,17 @@ def spatial_attention(att: SpatialAttention, f: Tensor):
     """
     if f.ndim != 4:
         raise ShapeError(f"expected [B x M x M x C], got {f.shape}")
-    b, m, m2, _ = f.shape
+    b, m, m2, c = f.shape
     if m != m2 or m != att.map_extent:
         raise ConfigError(f"spatial attention configured for {att.map_extent}x{att.map_extent}, got {f.shape}")
     if att.bypass:
         weights = Tensor(np.ones((b, m, m)))
     else:
-        pooled = T.channel_concat(T.channel_pool(f, "avg"), T.channel_pool(f, "max"))  # [B,M,M,2]
+        pooled = T.concat([T.tsum(f, axis=-1, keepdims=True) / c, T.channel_max(f)], axis=3)  # [B,M,M,2]
         rows = T.reshape(pooled, (b * m * m, 2) if att.variant == "conv" else (b, 2 * m * m))
         theta = T.matmul(rows, T.reshape(att.weights, (rows.shape[1], -1))) + att.bias
         weights = T.sigmoid(T.reshape(theta, (b, m, m)))
-    return weights, T.broadcast_mul_spatial(f, weights)
+    return weights, T.mul(f, T.reshape(weights, (b, m, m, 1)))
 
 
 class TwoLevelResult(NamedTuple):

@@ -19,7 +19,7 @@ from . import netpbm
 from .attention import write_weights_csv
 from .data import generate_synthetic, load_manifest, write_manifest, write_pair
 from .errors import CheckpointError, ConfigError, DataError, ShapeError, TrainingError, UsageError
-from .model import build_model, load_checkpoint, load_config
+from .model import build_model, load_checkpoint, load_config, parse_int_list
 from .preprocess import DepthImage, augment_expand, crop_resize, depth_clip_normalize
 from .tensor import atomic_write, check_output_path, make_output_dir
 from .trainer import ablate, eval_stages, evaluate, gradcheck, train
@@ -27,7 +27,7 @@ from .trainer import ablate, eval_stages, evaluate, gradcheck, train
 
 def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in raw.split(",") if x.strip())
+        return parse_int_list(raw)
     except ValueError as exc:
         raise ConfigError(f"{flag} must be a comma list of integers, got {raw!r}") from exc
 

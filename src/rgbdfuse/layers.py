@@ -34,10 +34,6 @@ class DenseLayer:
     def n_in(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def n_out(self) -> int:
-        return self.weights.shape[1]
-
     def parameters(self):
         return [("w", self.weights), ("b", self.bias)]
 
@@ -185,7 +181,6 @@ class ConvBackbone:
 
     kernels: list = field(default_factory=list)
     biases: list = field(default_factory=list)
-    widths: tuple = ()
 
     @classmethod
     def init(cls, in_channels: int, widths, rng) -> "ConvBackbone":
@@ -198,7 +193,7 @@ class ConvBackbone:
             kernels.append(T.parameter(_uniform(rng, (3, 3, cin, w), 9 * cin)))
             biases.append(T.parameter(np.zeros(w)))
             cin = w
-        return cls(kernels, biases, widths)
+        return cls(kernels, biases)
 
     def parameters(self):
         out = []

@@ -142,6 +142,14 @@ RETIRED_KEYS = {
 }
 
 
+def parse_int_list(raw: str) -> tuple[int, ...]:
+    """The integers of a comma list such as ``8,16,32``; ``()`` for an empty string. An
+    empty item (``8,,16`` or a trailing comma) or a non-integer raises ValueError."""
+    if not raw.strip():
+        return ()
+    return tuple(int(x) for x in raw.split(","))
+
+
 def config_from_text(text: str) -> ModelConfig:
     """Parse ``key=value`` lines; everything from a ``#`` to the end of its line is a comment."""
     fields = {f.name: f for f in dataclasses.fields(ModelConfig)}
@@ -178,7 +186,7 @@ def config_from_text(text: str) -> ModelConfig:
             elif isinstance(current, float):
                 kwargs[key] = float(value)
             elif isinstance(current, tuple):
-                kwargs[key] = tuple(int(x) for x in value.split(",") if x.strip())
+                kwargs[key] = parse_int_list(value)
             else:
                 kwargs[key] = value
         except ValueError as exc:

@@ -12,9 +12,10 @@ every spatial op takes batches only. A caller holding one sample passes it
 through :func:`add_batch_axis` before the op and :func:`drop_batch_axis`
 after it, the one batch-of-one boundary.
 
-The module also owns the package's file output: FTNS tensor io,
-:func:`atomic_write`, through which every file the package writes goes, and
-the output-path checks that turn an unusable ``--out`` into a ConfigError.
+The module also owns the package's file output: io of FTNS records (the record
+format inside FCKP checkpoints), :func:`atomic_write`, through which every file
+the package writes goes, and the output-path checks that turn an unusable
+``--out`` into a ConfigError.
 """
 
 from __future__ import annotations
@@ -265,6 +266,14 @@ def _split(g: np.ndarray, tensors: Sequence[Tensor], axis: int) -> list[np.ndarr
     return np.split(g, np.cumsum([t.shape[axis] for t in tensors])[:-1], axis=axis)
 
 
+def _join(tensors: Sequence[Tensor], axis: int) -> np.ndarray:
+    """The tensors' data concatenated along ``axis``; ShapeError where their shapes do not allow it."""
+    try:
+        return np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"shapes {[t.shape for t in tensors]} do not concatenate along axis {axis}") from exc
+
+
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = list(tensors)
 
@@ -272,7 +281,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         for t, gt in zip(tensors, _split(g, tensors, axis)):
             t._accum(gt)
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
+    return _node(_join(tensors, axis), tensors, bwd)
 
 
 def add_batch_axis(x: Tensor, axis: int = 0) -> Tensor:
@@ -438,54 +447,22 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     return _node(out, (x, kernels, bias), bwd)
 
 
-def channel_concat(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two batches of feature volumes [B x H x W x C] along the channel (last) axis."""
-    if a.ndim != 4 or b.ndim != 4:
-        raise ShapeError(f"channel_concat expects two [B x H x W x C] volumes, got {a.shape} and {b.shape}")
-    if a.shape[:-1] != b.shape[:-1]:
-        raise ShapeError(f"spatial shapes differ: {a.shape} vs {b.shape}")
-    return concat([a, b], axis=3)
+def channel_max(f: Tensor) -> Tensor:
+    """Collapse the channel axis of [B x H x W x C] to 1 by its max.
 
-
-def broadcast_mul_channel(f: Tensor, w: Tensor) -> Tensor:
-    """Scale each feature map: out[b, i, j, c] = f[b, i, j, c] * w[b, c], with ``w``
-    [B x C] against ``f`` [B x H x W x C]."""
-    if f.ndim != 4 or w.ndim != 2 or w.shape[0] != f.shape[0]:
-        raise ShapeError(f"weights {w.shape} incompatible with volume {f.shape}")
-    if w.shape[1] != f.shape[3]:
-        raise ShapeError(f"weight length {w.shape[1]} does not match channel count {f.shape[3]}")
-    return mul(f, reshape(w, (w.shape[0], 1, 1, w.shape[1])))
-
-
-def broadcast_mul_spatial(f: Tensor, w: Tensor) -> Tensor:
-    """Scale each spatial position: out[b, i, j, c] = f[b, i, j, c] * w[b, i, j], with ``w``
-    [B x H x W] against ``f`` [B x H x W x C]."""
-    if f.ndim != 4 or w.shape != f.shape[:-1]:
-        raise ShapeError(f"spatial weights {w.shape} do not match volume {f.shape}")
-    return mul(f, reshape(w, w.shape + (1,)))
-
-
-def channel_pool(f: Tensor, mode: str) -> Tensor:
-    """Collapse the channel axis to 1 by mean or max.
-
-    The mean is the channel sum divided by C, as numpy's ``mean`` computes it.
-    Max routes its gradient to the first argmax in channel order, so the
-    backward pass is deterministic under ties.
+    The gradient goes to the first argmax in channel order, so the backward pass is
+    deterministic under ties.
     """
     if f.ndim != 4 or f.shape[-1] < 1:
-        raise ShapeError(f"channel_pool expects [B x H x W x C] with C >= 1, got {f.shape}")
-    if mode == "avg":
-        return div(tsum(f, axis=-1, keepdims=True), _lift(f.shape[-1]))
-    if mode == "max":
-        idx = f.data.argmax(axis=-1)[..., None]
+        raise ShapeError(f"channel_max expects [B x H x W x C] with C >= 1, got {f.shape}")
+    idx = f.data.argmax(axis=-1)[..., None]
 
-        def bwd(g):
-            buf = np.zeros_like(f.data)
-            np.put_along_axis(buf, idx, g, axis=-1)
-            f._accum(buf)
+    def bwd(g):
+        buf = np.zeros_like(f.data)
+        np.put_along_axis(buf, idx, g, axis=-1)
+        f._accum(buf)
 
-        return _node(np.take_along_axis(f.data, idx, axis=-1), (f,), bwd)
-    raise ConfigError(f"channel_pool mode must be 'avg' or 'max', got {mode!r}")
+    return _node(np.take_along_axis(f.data, idx, axis=-1), (f,), bwd)
 
 
 _POOL_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major (di, dj) order within a 2x2 window
@@ -675,10 +652,7 @@ def concat_branches(thunks: Sequence[Callable[[], Tensor]], axis: int) -> tuple[
     """
     thunks = list(thunks)
     parts = _run_branches(thunks)
-    try:
-        data = np.concatenate([t.data for t in parts], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"branch outputs {[t.shape for t in parts]} do not concatenate along axis {axis}") from exc
+    data = _join(parts, axis)
 
     def bwd(g):
         slices = zip(parts, _split(g, parts, axis))
@@ -868,12 +842,3 @@ def check_output_path(path) -> None:
     if path.is_dir():
         raise ConfigError(f"output {path} is a directory")
 
-
-def save_tensor(path, t: Tensor) -> None:
-    with atomic_write(path, "wb") as fh:
-        write_tensor(fh, t)
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
-        return read_tensor(fh)

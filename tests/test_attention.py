@@ -239,7 +239,7 @@ def test_spatial_conv_matches_its_conv2d_reference(b, m, c):
     g = rng.standard_normal((b, m, m))
 
     def reference(f):
-        pooled = T.channel_concat(T.channel_pool(f, "avg"), T.channel_pool(f, "max"))
+        pooled = T.concat([T.tsum(f, axis=-1, keepdims=True) / c, T.channel_max(f)], axis=3)
         return T.reshape(T.sigmoid(T.conv2d(pooled, att.weights, att.bias)), (b, m, m))
 
     grads = []
@@ -351,11 +351,7 @@ UNBATCHED = {
     "conv2d": lambda: T.conv2d(_volume(4, 4, 2), *_KERNELS),
     "conv_pool_relu": lambda: T.conv_pool_relu(_volume(4, 4, 2), *_KERNELS),
     "maxpool2x2": lambda: T.maxpool2x2(_volume(4, 4, 2)),
-    "channel_concat": lambda: T.channel_concat(_volume(2, 2, 1), _volume(2, 2, 1)),
-    "channel_pool_avg": lambda: T.channel_pool(_volume(2, 2, 3), "avg"),
-    "channel_pool_max": lambda: T.channel_pool(_volume(2, 2, 3), "max"),
-    "broadcast_mul_channel": lambda: T.broadcast_mul_channel(_volume(2, 2, 3), _volume(3)),
-    "broadcast_mul_spatial": lambda: T.broadcast_mul_spatial(_volume(2, 2, 3), _volume(2, 2)),
+    "channel_max": lambda: T.channel_max(_volume(2, 2, 3)),
     "lstm_forward": lambda: L.lstm_forward(_lstm(), _volume(5, 3)),
     "blstm_forward": lambda: L.blstm_forward(_lstm(), _lstm(), _volume(5, 3)),
     "reshape_to_map_sequence": lambda: A.reshape_to_map_sequence(_volume(2, 2, 4)),

@@ -267,6 +267,7 @@ def test_train_on_a_config_with_no_classifier_width_is_a_clean_exit(tmp_path, sy
     [
         ("--noise-depth-classes", "x", "comma list of integers"),
         ("--noise-rgb-classes", "x", "comma list of integers"),
+        ("--noise-depth-classes", "0,,1", "comma list of integers"),
         ("--noise-depth-classes", "7", "outside 0..1"),
         ("--noise-rgb-classes", "0,-1", "outside 0..1"),
     ],
@@ -278,11 +279,16 @@ def test_synth_with_a_bad_class_list_is_a_clean_exit(tmp_path, capsys, flag, val
     assert not out.exists()
 
 
-def test_ablate_with_a_bad_seed_list_is_a_clean_exit(tmp_path, synth_dir, capsys):
+@pytest.mark.parametrize("seeds", ["a", "0,,1"])
+def test_ablate_with_a_bad_seed_list_exits_2_before_any_run(tmp_path, synth_dir, capsys, monkeypatch, seeds):
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"ablate ran with --seeds {seeds!r}")
+
+    monkeypatch.setattr("rgbdfuse.cli.ablate", no_run)
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text(config_to_text(MICRO_CFG))
     args = ["ablate", "--manifest", str(synth_dir / "manifest.csv"), "--config", str(cfg_path)]
-    code = main(args + ["--seeds", "a", "--out", str(tmp_path / "ablation.csv")])
+    code = main(args + ["--seeds", seeds, "--out", str(tmp_path / "ablation.csv")])
     _assert_clean_exit(code, capsys, "--seeds")
     assert not (tmp_path / "ablation.csv").exists()
 

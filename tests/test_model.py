@@ -125,6 +125,18 @@ def test_config_text_with_no_classifier_width_is_refused(tmp_path):
         M.load_config(path)
 
 
+def test_int_lists_refuse_an_empty_item():
+    assert M.parse_int_list("") == M.parse_int_list("  ") == ()
+    assert M.parse_int_list("8, 16,32") == (8, 16, 32)
+    for raw in ("8,,16", "8,16,", ",8", "8, ,16"):
+        with pytest.raises(ValueError):
+            M.parse_int_list(raw)
+    text = M.config_to_text(tiny_cfg()).replace("backbone_widths=2,3", "backbone_widths=2,,3")
+    lineno = text.splitlines().index("backbone_widths=2,,3") + 1
+    with pytest.raises(ConfigError, match=rf"'backbone_widths' on line {lineno}: '2,,3'"):
+        M.config_from_text(text)
+
+
 def test_desk_scale_fused_shape():
     cfg = M.ModelConfig()
     assert cfg.feature_extent == 7

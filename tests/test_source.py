@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import os
@@ -13,6 +15,7 @@ import pytest
 
 import rgbdfuse
 from rgbdfuse.attention import FeatureMapAttention, SpatialAttention
+from rgbdfuse.cli import make_parser
 from rgbdfuse.model import ModelConfig, build_model
 
 PACKAGE = Path(rgbdfuse.__file__).parent
@@ -225,10 +228,19 @@ def test_output_hashes_against_counts_moved_added_and_missing_lines_per_kind(tmp
 
 def test_scripts_run_from_a_checkout_without_pythonpath(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    for script in ("run_ablation_tables.py", "run_desk_experiment.py", "output_hashes.py"):
+    for script in ("run_ablation_tables.py", "run_desk_experiment.py", "output_hashes.py", "code_counts.py"):
         result = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / script), "--help"],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, f"{script}: {result.stderr}"
         assert result.stdout.startswith("usage: "), script
+
+
+def test_code_counts_read_the_config_fields_and_cli_flags_the_package_has():
+    counts = _load(ROOT / "scripts" / "code_counts.py", "code_counts").counts()
+    assert counts["config_fields"] == len(dataclasses.fields(ModelConfig))
+    sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [o for p in sub.choices.values() for a in p._actions for o in a.option_strings[:1] if o != "-h"]
+    assert counts["cli_flags"] == len(flags)
+    assert counts["public_names"] == sum(v for k, v in counts.items() if k.startswith("public_names."))

@@ -192,19 +192,24 @@ def test_conv2d_stage0_forward_stays_well_below_one_cols_buffer():
     assert held < cols_bytes / 2
 
 
-# -- channel concat / broadcast multiplies ---------------------------------
+# -- channel concat / gates -------------------------------------------------
+
+
+def _channel_concat(a, b):
+    """One sample's two volumes [M x M x K] joined along the channels, as a batch of one."""
+    return T.drop_batch_axis(T.concat([T.add_batch_axis(a), T.add_batch_axis(b)], axis=3))
 
 
 def test_channel_concat_paper_shape():
     a = T.add_batch_axis(T.Tensor(np.zeros((7, 7, 512))))
     b = T.add_batch_axis(T.Tensor(np.zeros((7, 7, 512))))
-    assert T.drop_batch_axis(T.channel_concat(a, b)).shape == (7, 7, 1024)
+    assert T.drop_batch_axis(T.concat([a, b], axis=3)).shape == (7, 7, 1024)
 
 
 def test_channel_concat_zero_block():
     rng = np.random.default_rng(7)
     x = T.Tensor(rng.random((3, 3, 4)))
-    out = T.drop_batch_axis(T.channel_concat(T.add_batch_axis(x), T.add_batch_axis(T.Tensor(np.zeros_like(x.data)))))
+    out = _channel_concat(x, T.Tensor(np.zeros_like(x.data)))
     assert np.array_equal(out.data[..., :4], x.data)
     assert not out.data[..., 4:].any()
 
@@ -212,16 +217,16 @@ def test_channel_concat_zero_block():
 def test_channel_concat_index_placement():
     a = T.Tensor(np.arange(4.0).reshape(2, 2, 1))
     b = T.Tensor(np.arange(4.0, 8.0).reshape(2, 2, 1))
-    out = T.drop_batch_axis(T.channel_concat(T.add_batch_axis(a), T.add_batch_axis(b)))
+    out = _channel_concat(a, b)
     for i in range(2):
         for j in range(2):
             assert out.data[i, j, 0] == a.data[i, j, 0]
             assert out.data[i, j, 1] == b.data[i, j, 0]
 
 
-def test_channel_concat_spatial_mismatch():
-    with pytest.raises(ShapeError):
-        T.channel_concat(*(T.add_batch_axis(T.Tensor(np.zeros((m, m, 1)))) for m in (2, 3)))
+def test_concat_of_mismatched_shapes_is_a_shape_error():
+    with pytest.raises(ShapeError, match="do not concatenate"):
+        T.concat([T.Tensor(np.zeros((1, m, m, 1))) for m in (2, 3)], axis=3)
 
 
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
@@ -230,7 +235,7 @@ def test_concat_then_slice_identity(m, ka, kb, seed):
     rng = np.random.default_rng(seed)
     a = rng.random((m, m, ka))
     b = rng.random((m, m, kb))
-    out = T.drop_batch_axis(T.channel_concat(T.add_batch_axis(T.Tensor(a)), T.add_batch_axis(T.Tensor(b))))
+    out = _channel_concat(T.Tensor(a), T.Tensor(b))
     assert np.array_equal(out.data[..., :ka], a)
     assert np.array_equal(out.data[..., ka:], b)
 
@@ -239,43 +244,46 @@ def test_channel_concat_backward_splits():
     a = T.parameter(np.random.default_rng(8).random((2, 2, 2)))
     b = T.parameter(np.random.default_rng(9).random((2, 2, 3)))
     w = T.Tensor(np.random.default_rng(10).random((2, 2, 5)))
-    check_grad(
-        lambda: T.tsum(T.drop_batch_axis(T.channel_concat(T.add_batch_axis(a), T.add_batch_axis(b))) * w), [a, b], 1e-6
-    )
+    check_grad(lambda: T.tsum(_channel_concat(a, b) * w), [a, b], 1e-6)
 
 
-def test_broadcast_mul_channel_identity_and_half():
+def _channel_gate(f, w):
+    """``feature_map_attention``'s gate: f [B x H x W x C] times w [B x C] per feature map."""
+    return T.mul(f, T.reshape(w, (w.shape[0], 1, 1, w.shape[1])))
+
+
+def _spatial_gate(f, w):
+    """``spatial_attention``'s gate: f [B x H x W x C] times w [B x H x W] per position."""
+    return T.mul(f, T.reshape(w, w.shape + (1,)))
+
+
+def test_channel_gate_identity_and_half():
     rng = np.random.default_rng(11)
     f = T.add_batch_axis(T.Tensor(rng.random((3, 3, 5))))
     ones = T.add_batch_axis(T.Tensor(np.ones(5)))
-    assert np.array_equal(T.drop_batch_axis(T.broadcast_mul_channel(f, ones)).data, f.data[0])
-    half = T.drop_batch_axis(T.broadcast_mul_channel(f, T.add_batch_axis(T.Tensor(np.full(5, 0.5)))))
+    assert np.array_equal(T.drop_batch_axis(_channel_gate(f, ones)).data, f.data[0])
+    half = T.drop_batch_axis(_channel_gate(f, T.add_batch_axis(T.Tensor(np.full(5, 0.5)))))
     assert np.array_equal(half.data, 0.5 * f.data[0])
 
 
-def test_broadcast_mul_channel_gradients():
+def test_channel_gate_gradients():
     rng = np.random.default_rng(12)
     f = T.parameter(rng.standard_normal((3, 3, 4)))
     w = T.parameter(rng.standard_normal(4))
     g = T.Tensor(rng.standard_normal((3, 3, 4)))
     check_grad(
-        lambda: T.tsum(T.drop_batch_axis(T.broadcast_mul_channel(T.add_batch_axis(f), T.add_batch_axis(w))) * g),
+        lambda: T.tsum(T.drop_batch_axis(_channel_gate(T.add_batch_axis(f), T.add_batch_axis(w))) * g),
         [f, w],
         1e-6,
     )
 
 
-def test_broadcast_mul_channel_length_mismatch():
-    with pytest.raises(ShapeError):
-        T.broadcast_mul_channel(*(T.add_batch_axis(T.Tensor(np.zeros(shape))) for shape in ((2, 2, 3), (4,))))
-
-
-def test_broadcast_mul_spatial_identity_and_mask():
+def test_spatial_gate_identity_and_mask():
     rng = np.random.default_rng(13)
     f = T.Tensor(rng.random((3, 3, 4)))
 
     def gate(w):
-        return T.drop_batch_axis(T.broadcast_mul_spatial(T.add_batch_axis(f), T.add_batch_axis(T.Tensor(w))))
+        return T.drop_batch_axis(_spatial_gate(T.add_batch_axis(f), T.add_batch_axis(T.Tensor(w))))
 
     assert np.array_equal(gate(np.ones((3, 3))).data, f.data)
     mask = np.zeros((3, 3))
@@ -285,30 +293,30 @@ def test_broadcast_mul_spatial_identity_and_mask():
     assert not out.data[1:].any() and not out.data[0, 1:].any()
 
 
-def test_broadcast_mul_spatial_gradients():
+def test_spatial_gate_gradients():
     rng = np.random.default_rng(14)
     f = T.parameter(rng.standard_normal((3, 3, 4)))
     w = T.parameter(rng.standard_normal((3, 3)))
     g = T.Tensor(rng.standard_normal((3, 3, 4)))
     check_grad(
-        lambda: T.tsum(T.drop_batch_axis(T.broadcast_mul_spatial(T.add_batch_axis(f), T.add_batch_axis(w))) * g),
+        lambda: T.tsum(T.drop_batch_axis(_spatial_gate(T.add_batch_axis(f), T.add_batch_axis(w))) * g),
         [f, w],
         1e-6,
     )
 
 
-def test_broadcast_mul_spatial_mismatch():
-    with pytest.raises(ShapeError):
-        T.broadcast_mul_spatial(*(T.add_batch_axis(T.Tensor(np.zeros(shape))) for shape in ((2, 2, 3), (3, 3))))
-
-
 # -- channel pooling --------------------------------------------------------
+
+
+def _channel_mean(f):
+    """``spatial_attention``'s channel mean of f [B x H x W x C]: the channel sum divided by C."""
+    return T.tsum(f, axis=-1, keepdims=True) / f.shape[-1]
 
 
 def test_channel_pool_singleton_identity():
     x = T.Tensor(np.random.default_rng(15).random((3, 3, 1)))
-    assert np.array_equal(T.drop_batch_axis(T.channel_pool(T.add_batch_axis(x), "avg")).data, x.data)
-    assert np.array_equal(T.drop_batch_axis(T.channel_pool(T.add_batch_axis(x), "max")).data, x.data)
+    assert np.array_equal(T.drop_batch_axis(_channel_mean(T.add_batch_axis(x))).data, x.data)
+    assert np.array_equal(T.drop_batch_axis(T.channel_max(T.add_batch_axis(x))).data, x.data)
 
 
 def test_channel_pool_hand_values():
@@ -316,16 +324,16 @@ def test_channel_pool_hand_values():
     f[..., 0] = 2.0
     f[..., 1] = 4.0
     t = T.add_batch_axis(T.Tensor(f))
-    assert np.all(T.channel_pool(t, "avg").data == 3.0)
-    assert np.all(T.channel_pool(t, "max").data == 4.0)
+    assert np.all(_channel_mean(t).data == 3.0)
+    assert np.all(T.channel_max(t).data == 4.0)
 
 
 def test_channel_pool_gradients():
     rng = np.random.default_rng(16)
     f = T.parameter(rng.standard_normal((4, 4, 8)))
     g = T.Tensor(rng.standard_normal((4, 4, 1)))
-    for mode in ("avg", "max"):
-        check_grad(lambda: T.tsum(T.drop_batch_axis(T.channel_pool(T.add_batch_axis(f), mode)) * g), [f], 1e-6)
+    for pool in (_channel_mean, T.channel_max):
+        check_grad(lambda: T.tsum(T.drop_batch_axis(pool(T.add_batch_axis(f))) * g), [f], 1e-6)
 
 
 def _sweep(out, params, seed):
@@ -339,7 +347,7 @@ def test_channel_gate_is_the_broadcast_product_bit_for_bit():
     rng = np.random.default_rng(40)
     f = T.parameter(rng.standard_normal((2, 3, 5, 4)))
     w = T.parameter(rng.standard_normal((2, 4)))
-    out = T.broadcast_mul_channel(f, w)
+    out = _channel_gate(f, w)
     g = _sweep(out, [f, w], 41)
     wb = w.data[:, None, None, :]
     assert np.array_equal(out.data, f.data * wb)
@@ -351,7 +359,7 @@ def test_spatial_gate_is_the_broadcast_product_bit_for_bit():
     rng = np.random.default_rng(42)
     f = T.parameter(rng.standard_normal((2, 3, 5, 4)))
     w = T.parameter(rng.standard_normal((2, 3, 5)))
-    out = T.broadcast_mul_spatial(f, w)
+    out = _spatial_gate(f, w)
     g = _sweep(out, [f, w], 43)
     assert np.array_equal(out.data, f.data * w.data[..., None])
     assert np.array_equal(f.grad, g * w.data[..., None])
@@ -360,22 +368,15 @@ def test_spatial_gate_is_the_broadcast_product_bit_for_bit():
 
 def test_channel_pool_avg_is_numpy_mean_bit_for_bit():
     f = T.parameter(np.random.default_rng(44).standard_normal((2, 3, 5, 7)))
-    out = T.channel_pool(f, "avg")
+    out = _channel_mean(f)
     g = _sweep(out, [f], 45)
     assert np.array_equal(out.data, f.data.mean(axis=-1, keepdims=True))
     assert np.array_equal(f.grad, np.broadcast_to(g / 7, f.shape))
 
 
-def test_channel_gate_rejects_weights_of_another_batch_or_rank():
-    f = T.Tensor(np.zeros((2, 3, 3, 4)))
-    for w in (np.zeros((3, 4)), np.zeros(4), np.zeros((2, 1, 4)), np.zeros(())):
-        with pytest.raises(ShapeError):
-            T.broadcast_mul_channel(f, T.Tensor(w))
-
-
 def test_channel_pool_max_tie_routes_to_first():
     f = T.parameter(np.array([[[2.0, 2.0, 1.0]]]))
-    out = T.channel_pool(T.add_batch_axis(f), "max")
+    out = T.channel_max(T.add_batch_axis(f))
     T.backward(T.tsum(out), [f])
     assert f.grad.tolist() == [[[1.0, 0.0, 0.0]]]
 
@@ -889,7 +890,7 @@ def test_all_finite_after_public_ops():
     for out in (
         T.conv2d(x, k, T.Tensor(np.zeros(2))),
         T.sigmoid(x),
-        T.channel_pool(x, "max"),
+        T.channel_max(x),
     ):
         assert np.all(np.isfinite(out.data))
 
@@ -897,13 +898,14 @@ def test_all_finite_after_public_ops():
 # -- serialization ---------------------------------------------------------------
 
 
-def test_tensor_serialization_round_trip(tmp_path):
+def test_tensor_serialization_round_trip():
     rng = np.random.default_rng(27)
     for shape in [(), (3,), (2, 3), (2, 3, 4)]:
         t = T.Tensor(rng.standard_normal(shape))
-        path = tmp_path / "t.bin"
-        T.save_tensor(path, t)
-        back = T.load_tensor(path)
+        buf = io.BytesIO()
+        T.write_tensor(buf, t)
+        buf.seek(0)
+        back = T.read_tensor(buf)
         assert back.shape == t.shape
         assert np.array_equal(back.data, t.data)
 
