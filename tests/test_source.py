@@ -244,3 +244,40 @@ def test_code_counts_read_the_config_fields_and_cli_flags_the_package_has():
     flags = [o for p in sub.choices.values() for a in p._actions for o in a.option_strings[:1] if o != "-h"]
     assert counts["cli_flags"] == len(flags)
     assert counts["public_names"] == sum(v for k, v in counts.items() if k.startswith("public_names."))
+
+
+def test_code_counts_apply_their_rules_to_a_small_module():
+    source = """
+import os
+from dataclasses import dataclass, field
+
+@dataclass(frozen=True)
+class Settings:
+    size: int
+    depth: int = 2
+    names: list = field(default_factory=list)
+    def scaled(self, by=1):
+        return self.size * by
+
+def f(a, /, b, c=3, *rest, d, e=5, **extra):
+    g = lambda x, y=0: x + y
+    return os.environ.get("A"), os.getenv("B")
+"""
+    counts = _load(ROOT / "scripts" / "code_counts.py", "code_counts")._source_counts(ast.parse(source))
+    # scaled: self, by; f: a, b, c, *rest, d, e, **extra; the lambda: x, y
+    assert counts["parameters"] == 2 + 7 + 2
+    # by, c, e and y by default; depth and names among the dataclass fields
+    assert counts["settable"] == 4 + 2
+    assert counts["env_reads"] == 2
+
+
+def test_code_counts_print_one_name_value_line_per_count(capsys):
+    code_counts = _load(ROOT / "scripts" / "code_counts.py", "code_counts")
+    assert code_counts.main([]) == 0
+    lines = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
+    assert all(len(parts) == 2 for parts in lines)
+    printed = {name: int(value) for name, value in lines}
+    counts = code_counts.counts()
+    assert list(printed) == list(counts) and printed == counts
+    assert printed["src_lines"] == sum(len(p.read_text(encoding="utf-8").splitlines()) for p in PACKAGE.rglob("*.py"))
+    assert printed["env_reads"] == 0

@@ -229,6 +229,15 @@ def test_concat_of_mismatched_shapes_is_a_shape_error():
         T.concat([T.Tensor(np.zeros((1, m, m, 1))) for m in (2, 3)], axis=3)
 
 
+def test_concat_and_concat_branches_refuse_volumes_of_two_batch_sizes_alike():
+    a, b = (T.Tensor(np.zeros((n, 2, 2, 1))) for n in (1, 2))
+    with pytest.raises(ShapeError, match=r"\(1, 2, 2, 1\), \(2, 2, 2, 1\)\] do not concatenate along axis 3") as joined:
+        T.concat([a, b], axis=3)
+    with pytest.raises(ShapeError) as branched:
+        T.concat_branches([lambda: a, lambda: b], axis=3)
+    assert str(branched.value) == str(joined.value)
+
+
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_concat_then_slice_identity(m, ka, kb, seed):
