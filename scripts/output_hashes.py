@@ -29,7 +29,9 @@ The name ``train`` hashes a 2-epoch ``train`` run of ``TRAIN`` on a small
 synthetic dataset: every numeric field of its ``RunReport.canonical()`` (the
 per-epoch metrics, the best epoch and accuracy, the feature-map attention means)
 and each record of the ``best.ckpt`` it writes. Its best epoch is 1, so the
-checkpoint and the means come from a restored, not the final, state.
+checkpoint and the means come from a restored, not the final, state. The name
+``train_last`` hashes the same of a 3-epoch run of ``TRAIN_LAST``, whose best epoch
+is its last: nothing is restored, and they come from the final state.
 
 Only array shapes and bytes are hashed, never config or checkpoint text, so two
 revisions that compute the same numbers print the same lines, and ``diff`` of the
@@ -58,6 +60,7 @@ The script imports the package from the ``src/`` beside it, so it needs no
 
 import argparse
 import ctypes
+import functools
 import hashlib
 import sys
 import tempfile
@@ -114,6 +117,9 @@ TRAIN = dict(
     learning_rate=0.1,
     epochs=2,
 )
+
+# a run whose test accuracy first rises at its last epoch, 3
+TRAIN_LAST = TRAIN | dict(learning_rate=0.05, epochs=3)
 
 BATCH = 4
 BATCHES = {"bands": 2}  # configs whose batch is not BATCH
@@ -212,9 +218,9 @@ def single_hashes():
             yield f"single/{level}/grad/{pname}", digest(p.grad)
 
 
-def train_hashes():
-    """Yield (artefact, sha256) for each numeric report field and checkpoint record of a 2-epoch run."""
-    cfg = ModelConfig(**TRAIN)
+def train_hashes(name: str, settings: dict):
+    """Yield (artefact, sha256) for each numeric report field and checkpoint record of a ``train`` run."""
+    cfg = ModelConfig(**settings)
     with tempfile.TemporaryDirectory() as tmp:
         manifest = load_manifest(generate_synthetic(Path(tmp) / "data", classes=2, per_class=12, size=16, seed=5))
         report, ckpt = train(build_model(cfg), manifest, out_dir=Path(tmp) / "run")
@@ -223,13 +229,18 @@ def train_hashes():
     numeric = [(f"epochs/{i}/{k}", v) for i, stats in enumerate(fields.pop("epochs")) for k, v in stats.items()]
     for key, value in numeric + list(fields.items()):
         if isinstance(value, (int, float)):
-            yield f"train/report/{key}", digest(np.asarray(value))
+            yield f"{name}/report/{key}", digest(np.asarray(value))
     for record, a in records.items():
-        yield f"train/ckpt/{record}", digest(a)
+        yield f"{name}/ckpt/{record}", digest(a)
 
 
-NAMES = (*CONFIGS, "preprocess", "single", "train")
-HASHERS = {"preprocess": preprocess_hashes, "single": single_hashes, "train": train_hashes}
+NAMES = (*CONFIGS, "preprocess", "single", "train", "train_last")
+HASHERS = {
+    "preprocess": preprocess_hashes,
+    "single": single_hashes,
+    "train": functools.partial(train_hashes, "train", TRAIN),
+    "train_last": functools.partial(train_hashes, "train_last", TRAIN_LAST),
+}
 
 
 def against(got: dict, path, names) -> None:

@@ -245,10 +245,15 @@ def tmean(x: Tensor, axis=None) -> Tensor:
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
+    try:
+        data = x.data.reshape(shape)
+    except ValueError as exc:
+        raise ShapeError(f"cannot reshape {x.shape} to {tuple(shape)}: the sizes differ") from exc
+
     def bwd(g):
         x._accum(g.reshape(x.shape))
 
-    return _node(x.data.reshape(shape), (x,), bwd)
+    return _node(data, (x,), bwd)
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
@@ -620,6 +625,12 @@ def _branch_worker():
             worker = ThreadPoolExecutor(1, "rgbdfuse-branch", initializer=set_threads, initargs=(1,))
         _branch_workers[pid] = worker
     return _branch_workers[pid]
+
+
+def _has_branch_worker() -> bool:
+    """Whether this process has made its branch worker yet (which may be None); unlike
+    ``_branch_worker`` it never makes one, so it never changes the BLAS's thread count."""
+    return os.getpid() in _branch_workers
 
 
 def _run_branches(calls: Sequence[Callable[[], object]]) -> list:

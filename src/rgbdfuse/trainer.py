@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -47,7 +48,10 @@ ABLATION_COLUMNS = (
 
 
 class Adam:
-    """Adam with bias correction and one step size ``lr``, which the caller may change between steps."""
+    """Adam with bias correction and one step size ``lr``, which the caller may change between steps.
+
+    A step checks, then updates, the parameters' blocks in two halves of about equal
+    element count, each pass through ``_run_halves``."""
 
     # Elements per block of the update, so its scratch buffer stays in L2 cache
     # (on the desk head 2^15 measured fastest, 2^14 and 2^16 within 8%, 2^13 and 2^17 slower).
@@ -62,32 +66,39 @@ class Adam:
         self.t = 0
         self.first_moments = {n: np.zeros(p.shape) for n, p in self.params}
         self.second_moments = {n: np.zeros(p.shape) for n, p in self.params}
+        self._halves = _halves([p.size for _, p in self.params], self.BLOCK)
 
     def zero_grad(self) -> None:
         for _, p in self.params:
             p.zero_grad()
 
     def step(self) -> None:
-        """One update; a non-finite gradient raises TrainingError before anything changes."""
-        for name, p in self.params:
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise TrainingError(f"non-finite gradient for parameter {name!r}")
+        """One update; a non-finite gradient raises TrainingError, naming the first such
+        parameter, before anything changes."""
+        grads = [None if p.grad is None else p.grad.reshape(-1) for _, p in self.params]
+        found = _run_halves([functools.partial(_first_non_finite, grads, h) for h in self._halves])
+        bad = [i for i in found if i is not None]
+        if bad:  # the first half's find comes first in params order
+            raise TrainingError(f"non-finite gradient for parameter {self.params[bad[0]][0]!r}")
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         # Kingma & Ba's section-2 form (arXiv 1412.6980): the bias corrections fold into two scalars
         alpha, eps_hat = self.lr * np.sqrt(c2) / c1, self.EPS * np.sqrt(c2)
-        scratch = np.empty(self.BLOCK)
-        for name, p in self.params:
+        for _, p in self.params:
             if not p.data.flags.c_contiguous:
                 p.data = np.ascontiguousarray(p.data)
-            g = p.grad.reshape(-1) if p.grad is not None else np.zeros(p.size)
-            m = self.first_moments[name].reshape(-1)
-            v = self.second_moments[name].reshape(-1)
-            w = p.data.reshape(-1)
-            for lo in range(0, w.size, self.BLOCK):
-                hi = min(lo + self.BLOCK, w.size)
-                gb, mb, vb, wb, s = g[lo:hi], m[lo:hi], v[lo:hi], w[lo:hi], scratch[: hi - lo]
+        flats = [
+            (g, self.first_moments[n].reshape(-1), self.second_moments[n].reshape(-1), p.data.reshape(-1))
+            for g, (n, p) in zip(grads, self.params)
+        ]
+
+        def update(blocks):  # through one scratch buffer; a missing gradient counts as 0
+            scratch = np.empty(self.BLOCK)
+            for i, lo, hi in blocks:
+                g, m, v, w = flats[i]
+                gb = np.zeros(hi - lo) if g is None else g[lo:hi]
+                mb, vb, wb, s = m[lo:hi], v[lo:hi], w[lo:hi], scratch[: hi - lo]
                 # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
                 mb *= b1
                 np.multiply(gb, 1.0 - b1, out=s)
@@ -102,6 +113,36 @@ class Adam:
                 np.divide(mb, s, out=s)
                 s *= alpha
                 wb -= s
+
+        _run_halves([functools.partial(update, h) for h in self._halves])
+
+
+def _halves(sizes, block):
+    """The blocks ``(array index, lo, hi)`` of flat arrays of these sizes, ``block`` elements
+    at most, in order and cut into two halves of about equal element count."""
+    blocks = [(i, lo, min(lo + block, n)) for i, n in enumerate(sizes) for lo in range(0, n, block)]
+    ends = np.cumsum([hi - lo for _, lo, hi in blocks])
+    cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1 if blocks else 0
+    return blocks[:cut], blocks[cut:]
+
+
+def _run_halves(calls) -> list:
+    """The results of ``calls``, run on the branch worker where this process already has
+    one, else one after the other: a process that never ran two branches (an ``rgb`` or
+    ``depth`` run) makes no worker here, so its BLAS keeps its own thread count."""
+    return T._run_branches(calls) if T._has_branch_worker() else [call() for call in calls]
+
+
+def _first_non_finite(grads, blocks):
+    """The index of the first array of ``grads`` (flat, or None) with a non-finite element
+    in ``blocks``, or None; checked through one bool buffer, so no full-size temporary."""
+    finite = np.empty(Adam.BLOCK, dtype=bool)
+    for i, lo, hi in blocks:
+        if grads[i] is not None:
+            ok = np.isfinite(grads[i][lo:hi], out=finite[: hi - lo])
+            if not ok.all():
+                return i
+    return None
 
 
 def adam_step(state: Adam) -> None:
@@ -224,13 +265,35 @@ def _epoch_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence((seed, epoch)).generate_state(1)[0])
 
 
-def _snapshot(model: Model):
-    return {n: a.copy() for n, a in model.arrays().items()}
+def _flat_arrays(model: Model) -> list[np.ndarray]:
+    """Flat views of ``model.arrays()``, in record order; each is C-contiguous (built so,
+    kept so by Adam, rebound to fresh arrays by batchnorm), so a view writes through."""
+    return [a.reshape(-1) for a in model.arrays().values()]
 
 
-def _restore(model: Model, snapshot) -> None:
-    for n, a in model.arrays().items():
-        a[...] = snapshot[n]
+def _copy_halves(dst, src, halves) -> None:
+    """``dst[i][lo:hi] = src[i][lo:hi]`` for the blocks of both ``halves``, through ``_run_halves``."""
+
+    def copy(blocks):
+        for i, lo, hi in blocks:
+            dst[i][lo:hi] = src[i][lo:hi]
+
+    _run_halves([functools.partial(copy, h) for h in halves])
+
+
+def _snapshot(model: Model, buffer, halves) -> list[np.ndarray]:
+    """Copy the model's arrays into ``buffer`` (a flat array per model array, made here when
+    None) and return it. Not one block for all: glibc maps a block that size fresh and
+    unmaps it when freed, so the next model built would fault its pages in again."""
+    arrays = _flat_arrays(model)
+    if buffer is None:
+        buffer = [np.empty(a.size) for a in arrays]
+    _copy_halves(buffer, arrays, halves)
+    return buffer
+
+
+def _restore(model: Model, buffer, halves) -> None:
+    _copy_halves(_flat_arrays(model), buffer, halves)
 
 
 def _train_step(model: Model, optimizer: Adam, batch) -> tuple[float, int]:
@@ -252,7 +315,8 @@ def _train_step(model: Model, optimizer: Adam, batch) -> tuple[float, int]:
 
 def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = None, *, out_dir=None):
     """Adam training of ``model`` under ``model.cfg`` (``cfg`` may only repeat it), with
-    per-epoch evaluation; the best parameters are kept in memory and restored at the end.
+    per-epoch evaluation; the best parameters are kept in memory and, where a later step
+    changed them, restored at the end.
 
     Epoch 0 only evaluates; epoch e > 0 steps at ``learning_rate * lr_decay ** (e - 1)``. With
     ``out_dir`` the best parameters are written once, as ``best.ckpt``, beside the reports.
@@ -273,7 +337,10 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
 
     started = time.perf_counter()
     report = RunReport(config_text=config_to_text(cfg), seed=cfg.seed)
-    best = None  # snapshot of the best evaluated parameters
+    # The best parameters (before any evaluation, the initial ones) are copied only just before a
+    # step would change them, into buffers reused for the run, and restored only if changed.
+    halves = _halves([a.size for a in model.arrays().values()], Adam.BLOCK)
+    best, holds_best = None, True
     failure = None
     try:
         for epoch in range(cfg.epochs + 1):
@@ -284,6 +351,8 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
                 for batch in make_batches(train_records, cfg.batch_size, seed=_epoch_seed(cfg.seed, epoch)):
                     if batch.labels.size < 2:
                         continue  # batchnorm train mode needs at least 2 samples
+                    if holds_best:
+                        best, holds_best = _snapshot(model, best, halves), False
                     batch_loss, batch_hits = _train_step(model, optimizer, batch)
                     loss_sum += batch_loss * batch.labels.size
                     hits += batch_hits
@@ -291,16 +360,16 @@ def train(model: Model, manifest: DatasetManifest, cfg: ModelConfig | None = Non
                 train_loss, train_acc = loss_sum / max(seen, 1), hits / max(seen, 1)
             acc, _, fm_means = _evaluate(model, test_records)
             report.epochs.append(EpochStats(epoch, train_loss, train_acc, acc, optimizer.lr))
-            if best is None or acc > report.best_test_acc:
-                best = _snapshot(model)
+            if epoch == 0 or acc > report.best_test_acc:
+                holds_best = True
                 report.best_epoch, report.best_test_acc = epoch, acc
                 if fm_means is not None:
                     report.fm_weight_rgb_mean, report.fm_weight_depth_mean = fm_means
     except (TrainingError, DataError, ShapeError) as exc:
         report.aborted, failure = True, exc
 
-    if best is not None:
-        _restore(model, best)
+    if not holds_best:
+        _restore(model, best, halves)
     report.wall_time_s = time.perf_counter() - started
     if out_dir:
         save_checkpoint(model, ckpt_path, epoch=report.best_epoch)

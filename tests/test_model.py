@@ -11,6 +11,7 @@ import pytest
 from rgbdfuse import model as M
 from rgbdfuse import tensor as T
 from rgbdfuse.errors import CheckpointError, ConfigError, DataError
+from rgbdfuse.trainer import Adam
 
 TINY = dict(
     input_size=16,
@@ -280,14 +281,22 @@ def test_a_single_modality_model_runs_its_one_branch_without_the_branch_worker(m
         raise AssertionError("a single-branch forward or backward made the branch worker")
 
     monkeypatch.setattr(T, "_branch_worker", no_worker)
+    monkeypatch.setattr(T, "_branch_workers", {})  # as in a process that has run no rgbd model
     cfg = tiny_cfg(modality=modality)
     rgb, depth = tiny_batch(cfg)
     stages = M.build_model(cfg).forward_features(rgb, depth)
     assert [name for name in stages if name.startswith("f_")] == [branch, "f_concat"]
     assert np.array_equal(stages[branch].data, stages["features"].data)
     assert np.array_equal(stages["f_concat"].data, stages["features"].data)
-    logits, grads = _train_step_outputs(cfg, rgb, depth)
-    assert np.isfinite(logits).all() and all(g is not None for g in grads.values())
+    model = M.build_model(cfg)
+    logits = model.forward(rgb, depth, "train")
+    optimizer = Adam(model.parameters(), cfg.learning_rate)
+    T.backward(T.cross_entropy(logits, np.arange(rgb.shape[0]) % cfg.classes), [p for _, p in optimizer.params])
+    assert np.isfinite(logits.data).all() and all(p.grad is not None for _, p in optimizer.params)
+    before = {n: p.data.copy() for n, p in optimizer.params}
+    optimizer.step()  # both halves run here, one after the other
+    assert optimizer.t == 1 and any(not np.array_equal(p.data, before[n]) for n, p in optimizer.params)
+    assert T._branch_workers == {}
 
 
 def _forward_and_exit(model, rgb, depth, expected):

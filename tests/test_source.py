@@ -169,21 +169,25 @@ def test_output_hashes_names_every_output_of_a_config_once_and_repeats_itself(ca
     assert script.main(["single"]) == 0
     assert capsys.readouterr().out.splitlines() == lines
 
-    assert script.main(["train"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    names = [line.split(" ")[0] for line in lines]
-    assert all(len(line.split(" ")[1]) == 64 for line in lines)
-    cfg = ModelConfig(**script.TRAIN)
-    per_epoch = ["epoch", "train_loss", "train_acc", "test_acc", "effective_lr"]
-    report = ["seed", "best_epoch", "best_test_acc", "fm_weight_rgb_mean", "fm_weight_depth_mean", "aborted"]
-    assert names == (
-        [f"train/report/epochs/0/{k}" for k in ("epoch", "test_acc", "effective_lr")]
-        + [f"train/report/epochs/{e}/{k}" for e in range(1, cfg.epochs + 1) for k in per_epoch]
-        + [f"train/report/{k}" for k in report]
-        + [f"train/ckpt/{n}" for n in build_model(cfg).arrays()]
-    )
-    assert script.main(["train"]) == 0
-    assert capsys.readouterr().out.splitlines() == lines
+    # the best epoch of "train" is 1 of 2, so its outputs come from a restored state; that of
+    # "train_last" is its last, so nothing is restored
+    for name, settings, best in (("train", script.TRAIN, 1), ("train_last", script.TRAIN_LAST, 3)):
+        assert script.main([name]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [line.split(" ")[0] for line in lines]
+        assert f"{name}/report/best_epoch {script.digest(np.asarray(best))}" in lines
+        assert all(len(line.split(" ")[1]) == 64 for line in lines)
+        cfg = ModelConfig(**settings)
+        per_epoch = ["epoch", "train_loss", "train_acc", "test_acc", "effective_lr"]
+        report = ["seed", "best_epoch", "best_test_acc", "fm_weight_rgb_mean", "fm_weight_depth_mean", "aborted"]
+        assert names == (
+            [f"{name}/report/epochs/0/{k}" for k in ("epoch", "test_acc", "effective_lr")]
+            + [f"{name}/report/epochs/{e}/{k}" for e in range(1, cfg.epochs + 1) for k in per_epoch]
+            + [f"{name}/report/{k}" for k in report]
+            + [f"{name}/ckpt/{n}" for n in build_model(cfg).arrays()]
+        )
+        assert script.main([name]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_output_hashes_match_the_golden_file():

@@ -229,6 +229,14 @@ def test_concat_of_mismatched_shapes_is_a_shape_error():
         T.concat([T.Tensor(np.zeros((1, m, m, 1))) for m in (2, 3)], axis=3)
 
 
+def test_reshape_to_a_shape_of_another_size_is_a_shape_error_naming_both_shapes():
+    with pytest.raises(ShapeError, match=r"cannot reshape \(3,\) to \(2,\)"):
+        T.reshape(T.Tensor(np.zeros(3)), (2,))
+    with pytest.raises(ShapeError, match=r"cannot reshape \(2, 3\) to \(4, -1\)"):
+        T.reshape(T.Tensor(np.zeros((2, 3))), (4, -1))
+    assert T.reshape(T.Tensor(np.zeros((2, 3))), (3, -1)).shape == (3, 2)
+
+
 def test_concat_and_concat_branches_refuse_volumes_of_two_batch_sizes_alike():
     a, b = (T.Tensor(np.zeros((n, 2, 2, 1))) for n in (1, 2))
     with pytest.raises(ShapeError, match=r"\(1, 2, 2, 1\), \(2, 2, 2, 1\)\] do not concatenate along axis 3") as joined:

@@ -1,6 +1,7 @@
 """Adam arithmetic, training loop behavior, gradcheck, ablation plumbing."""
 
 import shutil
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,74 @@ def test_adam_blocked_update_matches_whole_array_formula():
         for n, p in params:
             assert np.array_equal(p.data, ref[n]), (n, t)
             assert np.array_equal(opt.first_moments[n], m[n]) and np.array_equal(opt.second_moments[n], v[n])
+
+
+def _split_adam(rng):
+    """An Adam over parameters whose sizes are not multiples of BLOCK, one of them without a
+    gradient; the last one's blocks lie in both halves."""
+    sizes = [2 * TR.Adam.BLOCK + 5, 7, TR.Adam.BLOCK - 3, 3 * TR.Adam.BLOCK + 11]
+    params = [(f"p{i}", T.parameter(rng.standard_normal(n))) for i, n in enumerate(sizes)]
+    opt = TR.Adam(params, lr=0.01)
+    assert all(opt._halves) and {i for i, _, _ in opt._halves[0]} & {i for i, _, _ in opt._halves[1]} == {3}
+    return opt
+
+
+def _adam_state(opt):
+    return ([p.data.copy() for _, p in opt.params], {n: m.copy() for n, m in opt.first_moments.items()},
+            {n: v.copy() for n, v in opt.second_moments.items()}, opt.t)
+
+
+def _assert_same_adam_state(a, b):
+    assert a[3] == b[3]
+    for x, y in zip(a[0], b[0]):
+        assert np.array_equal(x, y)
+    for name in a[1]:
+        assert np.array_equal(a[1][name], b[1][name]) and np.array_equal(a[2][name], b[2][name]), name
+
+
+def _run_adam(opt, seed, steps=3):
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        for name, p in opt.params:
+            p.grad = None if name == "p1" else rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+        opt.step()
+    return _adam_state(opt)
+
+
+def test_adam_split_update_equals_the_serial_one_bit_for_bit(monkeypatch):
+    T._branch_worker()  # where the process can run two threads, the halves now run on two
+    threads = set()
+    real_check = TR._first_non_finite
+
+    def recording_check(grads, blocks):
+        threads.add(threading.get_ident())
+        return real_check(grads, blocks)
+
+    monkeypatch.setattr(TR, "_first_non_finite", recording_check)
+    split = _run_adam(_split_adam(np.random.default_rng(41)), seed=42)
+    assert len(threads) == (1 if T._branch_worker() is None else 2)
+    monkeypatch.setattr(T, "_branch_worker", lambda: None)
+    threads.clear()
+    serial = _run_adam(_split_adam(np.random.default_rng(41)), seed=42)
+    assert threads == {threading.get_ident()}
+    _assert_same_adam_state(split, serial)
+    assert split[3] == 3
+
+
+@pytest.mark.parametrize("bad", [[0], [3], [0, 3], [2, 3]], ids=["first_half", "second_half", "both", "both_late"])
+def test_adam_non_finite_gradient_in_either_half_names_the_first_and_changes_nothing(bad):
+    T._branch_worker()
+    opt = _split_adam(np.random.default_rng(43))
+    _run_adam(opt, seed=44, steps=1)
+    before = _adam_state(opt)
+    rng = np.random.default_rng(45)
+    for i, (name, p) in enumerate(opt.params):
+        p.grad = None if name == "p1" else rng.standard_normal(p.shape)
+        if i in bad:
+            p.grad[-1 if i == 3 else 0] = np.inf if i == 3 else np.nan  # p3's last block is in the second half
+    with pytest.raises(TrainingError, match=f"non-finite gradient for parameter 'p{bad[0]}'$"):
+        opt.step()
+    _assert_same_adam_state(_adam_state(opt), before)
 
 
 def test_adam_update_matches_the_textbook_form_within_rounding():
@@ -368,6 +437,97 @@ def test_train_writes_the_best_checkpoint_once(tmp_path, separable_manifest, mon
     assert epoch == report.best_epoch
     for name, data in evaluated[report.best_epoch].items():
         assert np.array_equal(records[name], data), name
+
+
+def _scripted_train(monkeypatch, manifest, accs, nan_at_step=None, **overrides):
+    """``train`` with epoch e's test accuracy set to ``accs[e]``, and a NaN gradient at step
+    ``nan_at_step`` (counted from 1). Returns the model, the report or the error raised, a copy
+    of every model array at each evaluation, the epoch evaluated last before each snapshot
+    copy, and the restore count."""
+    cfg = micro_cfg(classes=manifest.class_count, epochs=len(accs) - 1, seed=6, **overrides)
+    evaluated, copies, restores, steps = [], [], [], []
+    real_evaluate, real_snapshot, real_restore, real_step = TR._evaluate, TR._snapshot, TR._restore, TR.Adam.step
+
+    def scripted_evaluate(model, records):
+        evaluated.append({n: a.copy() for n, a in model.arrays().items()})
+        _, confusion, means = real_evaluate(model, records)
+        return accs[len(evaluated) - 1], confusion, means
+
+    def counted_snapshot(*args):
+        copies.append(len(evaluated) - 1)
+        return real_snapshot(*args)
+
+    def counted_restore(*args):
+        restores.append(len(evaluated) - 1)
+        real_restore(*args)
+
+    def step(self):
+        steps.append(len(steps) + 1)
+        if steps[-1] == nan_at_step:
+            self.params[-1][1].grad[...] = np.nan
+        real_step(self)
+
+    monkeypatch.setattr(TR, "_evaluate", scripted_evaluate)
+    monkeypatch.setattr(TR, "_snapshot", counted_snapshot)
+    monkeypatch.setattr(TR, "_restore", counted_restore)
+    monkeypatch.setattr(TR.Adam, "step", step)
+    model = build_model(cfg)
+    try:
+        outcome, _ = TR.train(model, manifest)
+    except TrainingError as exc:
+        outcome = exc
+    return model, outcome, evaluated, copies, len(restores)
+
+
+def _assert_holds(model, arrays):
+    got = model.arrays()
+    assert list(got) == list(arrays)
+    for name, a in arrays.items():
+        assert np.array_equal(got[name], a), name
+
+
+# 12 train records in batches of 4 take 3 steps an epoch
+def test_a_run_whose_best_epoch_is_its_last_copies_before_each_improving_epochs_steps_and_never_restores(
+    micro_manifest, monkeypatch
+):
+    model, report, evaluated, copies, restores = _scripted_train(monkeypatch, micro_manifest, [0.1, 0.3, 0.2, 0.5])
+    assert report.best_epoch == 3 and report.best_test_acc == 0.5
+    assert copies == [0, 1]  # epoch 3 improves too, but no step follows it
+    assert restores == 0
+    _assert_holds(model, evaluated[3])
+
+
+def test_a_run_whose_best_epoch_is_earlier_is_restored_bit_for_bit(micro_manifest, monkeypatch):
+    model, report, evaluated, copies, restores = _scripted_train(monkeypatch, micro_manifest, [0.1, 0.5, 0.5, 0.4])
+    assert report.best_epoch == 1
+    assert copies == [0, 1]  # a tie does not improve
+    assert restores == 1
+    _assert_holds(model, evaluated[1])
+    assert any(not np.array_equal(model.arrays()[n], a) for n, a in evaluated[3].items())
+
+
+def test_a_failure_in_the_epoch_after_a_best_restores_that_best(micro_manifest, monkeypatch):
+    model, error, evaluated, copies, restores = _scripted_train(
+        monkeypatch, micro_manifest, [0.1, 0.5, 0.2], nan_at_step=5
+    )
+    assert isinstance(error, TrainingError) and "epoch 1 retained" in str(error)
+    assert len(evaluated) == 2 and copies == [0, 1] and restores == 1
+    _assert_holds(model, evaluated[1])
+
+
+@pytest.mark.parametrize("modality", ["rgb", "depth"])
+def test_a_single_modality_train_makes_no_branch_worker(micro_manifest, monkeypatch, modality):
+    def no_worker():
+        raise AssertionError("a single-modality train made the branch worker")
+
+    monkeypatch.setattr(T, "_branch_worker", no_worker)
+    monkeypatch.setattr(T, "_branch_workers", {})  # as in a process that has run no rgbd model
+    model, report, evaluated, copies, restores = _scripted_train(
+        monkeypatch, micro_manifest, [0.1, 0.5, 0.2], modality=modality, fusion="concat_only"
+    )
+    assert copies == [0, 1] and restores == 1  # Adam, the snapshot and the restore all ran
+    _assert_holds(model, evaluated[1])
+    assert T._branch_workers == {}
 
 
 def test_train_divergence_aborts_with_checkpoint(tmp_path, micro_manifest, monkeypatch):
